@@ -9,6 +9,11 @@ from fractions import Fraction
 Q = Fraction
 
 
+class ConsistencyError(AssertionError):
+    """A broken internal invariant, such as mismatched shapes. It is
+    raised explicitly, so unlike `assert` it survives `python -O`."""
+
+
 def rat_to_str(x):
     """Serialize a rational as "p/q", omitting "/q" when q == 1."""
     x = Fraction(x)
@@ -141,9 +146,20 @@ class Matrix:
         return self.scale(c)
 
     def matvec(self, v):
-        assert len(v) == self.cols
-        return [sum((self.a[i][j] * Q(v[j]) for j in range(self.cols)), Q(0))
-                for i in range(self.rows)]
+        if len(v) != self.cols:
+            raise ConsistencyError("matvec: vector of length %d for a "
+                                   "%dx%d matrix"
+                                   % (len(v), self.rows, self.cols))
+        nz = [(j, Q(x)) for j, x in enumerate(v) if x != 0]
+        out = []
+        for row in self.a:
+            s = Q(0)
+            for j, x in nz:
+                y = row[j]
+                if y:
+                    s += y * x
+            out.append(s)
+        return out
 
     def is_zero(self):
         return all(x == 0 for row in self.a for x in row)
@@ -155,11 +171,15 @@ class Matrix:
         return [[rat_to_str(x) for x in row] for row in self.a]
 
     @classmethod
-    def from_json(cls, data, rows=None, cols=None):
+    def from_json(cls, data, cols=0):
+        """Matrix from rows of rational strings; `cols` is the width of
+        the empty list, which has no row to take it from."""
         if not data:
-            return cls(rows or 0, cols or 0)
-        return cls(len(data), len(data[0]),
-                   [[rat_from_str(x) for x in row] for row in data])
+            return cls(0, cols)
+        # Rows are not checked here: a ragged table from a file is an
+        # input error, which the strata loader reports with its path.
+        return cls._raw(len(data), len(data[0]),
+                        [[rat_from_str(x) for x in row] for row in data])
 
 
 def block_diag(blocks):

@@ -18,7 +18,8 @@ import json
 from fractions import Fraction as Q
 
 from .exactlin import (
-    Matrix, rank, rat_to_str, rat_from_str, is_positive_definite, kernel,
+    ConsistencyError, Matrix, rank, rat_to_str, rat_from_str,
+    is_positive_definite, kernel,
 )
 from .cubical import IndexSet
 
@@ -56,18 +57,28 @@ class Ring:
 
     def mul(self, i, j, x, y):
         """Product of x in H^i and y in H^j, a vector in H^{i+j}."""
-        if self.dim(i + j) == 0:
+        dk = self.dim(i + j)
+        if dk == 0:
             return []
+        di, dj = self.dim(i), self.dim(j)
         t = self.table(i, j)
-        v = [Q(0)] * (self.dim(i) * self.dim(j))
+        if (len(x), len(y), t.rows, t.cols) != (di, dj, dk, di * dj):
+            raise ConsistencyError(
+                "product (%d,%d): factors of length %d and %d against a "
+                "%dx%d table" % (i, j, len(x), len(y), t.rows, t.cols))
+        out = [Q(0)] * dk
+        ynz = [(b, yb) for b, yb in enumerate(y) if yb != 0]
         for a, xa in enumerate(x):
             if xa == 0:
                 continue
-            for b, yb in enumerate(y):
-                if yb == 0:
-                    continue
-                v[a * self.dim(j) + b] = xa * yb
-        return t.matvec(v)
+            for b, yb in ynz:
+                c = a * dj + b
+                xy = xa * yb
+                for r, row in enumerate(t.a):
+                    e = row[c]
+                    if e:
+                        out[r] += e * xy
+        return out
 
     def mult_operator(self, x, i, j):
         """The matrix of (y -> x.y): H^j -> H^{i+j} for x in H^i."""
@@ -162,6 +173,22 @@ class StrataDatum:
         return tot
 
     def _structural_check(self):
+        # A mis-shaped table is an input error: report it here with its
+        # path, not later as a consistency failure (exit 2) in a kernel.
+        def expect(path, m, rows, cols):
+            got = "%dx%d" % (m.rows, m.cols)
+            if any(len(r) != m.cols for r in m.a):
+                got = "ragged rows"
+            if got != "%dx%d" % (rows, cols):
+                raise StrataError("%s: expected %dx%d, got %s"
+                                  % (path, rows, cols, got))
+
+        def ring_of(s, path):
+            if s not in self.rings:
+                raise StrataError("%s: unknown stratum %r"
+                                  % (path, sorted(s)))
+            return self.rings[s]
+
         for s in self.nerve:
             if not s or not s <= set(self.ix.labels):
                 raise StrataError("bad nerve subset %r" % (sorted(s),))
@@ -188,6 +215,9 @@ class StrataDatum:
             if len(self.ample[s]) != ring.dim(2):
                 raise StrataError("ample length mismatch at %r"
                                   % (sorted(s),))
+            for (i, j), m in ring.mult.items():
+                expect("strata/%s/products/%d,%d" % (skey(self.ix, s), i, j),
+                       m, ring.dim(i + j), ring.dim(i) * ring.dim(j))
         for s in self.nerve:
             for x in self.ix.labels:
                 if x in s:
@@ -196,7 +226,18 @@ class StrataDatum:
                 if t in self.nerve and (s, t) not in self.restrictions:
                     raise StrataError("missing restriction %r -> %r"
                                       % (sorted(s), sorted(t)))
-
+        for (s, t), mats in self.restrictions.items():
+            path = "restrictions/%s|%s" % (skey(self.ix, s),
+                                           skey(self.ix, t))
+            rs, rt = ring_of(s, path), ring_of(t, path)
+            for deg, m in mats.items():
+                expect("%s/%d" % (path, deg), m, rt.dim(deg), rs.dim(deg))
+        for (s, nu), mats in self.gysin.items():
+            path = "gysin/%s|%s" % (skey(self.ix, s), nu)
+            rs, rt = ring_of(s, path), ring_of(s | {nu}, path)
+            for deg, m in mats.items():
+                expect("%s/%d" % (path, deg), m, rs.dim(deg + 2),
+                       rt.dim(deg))
 
     def _derive_missing_gysin(self):
         """Fill in omitted Gysin maps from Poincaré duality and the
@@ -439,19 +480,18 @@ def validate(datum, fail_fast=False):
             okd = True
             witc = witd = ""
             for i in range(0, 2 * dt + 1):
+                g_i = datum.gysin_mat(sigma, nu, i)
                 for j in range(0, 2 * d_s + 1):
-                    g_i = datum.gysin_mat(sigma, nu, i)
+                    r_j = datum.restrict_mat(sigma, tau, j)
+                    g_ij = datum.gysin_mat(sigma, nu, i + j)
                     for a in range(rt.dim(i)):
                         xa = unit_vec(rt.dim(i), a)
                         for b in range(rs.dim(j)):
                             yb = unit_vec(rs.dim(j), b)
-                            rb = datum.restrict_mat(sigma, tau,
-                                                    j).matvec(yb)
+                            rb = r_j.matvec(yb)
                             # (c): g(a . r(b)) = g(a) . b
                             if i + j <= 2 * dt:
-                                lhs = datum.gysin_mat(
-                                    sigma, nu, i + j).matvec(
-                                        rt.mul(i, j, xa, rb))
+                                lhs = g_ij.matvec(rt.mul(i, j, xa, rb))
                                 rhs = rs.mul(i + 2, j, g_i.matvec(xa),
                                              yb)
                                 if lhs != rhs:
@@ -786,14 +826,11 @@ def loads(text):
         for field in ("dims", "products", "trace", "ample"):
             if field not in entry:
                 raise StrataError("strata/%s/%s missing" % (key, field))
-        dims = entry["dims"]
-        mult = {}
+        ring = rings[s] = Ring(entry["dims"], {})
         for ij, m in entry["products"].items():
             i, j = (int(x) for x in ij.split(","))
-            mult[(i, j)] = Matrix.from_json(
-                m, rows=dims[i + j] if i + j < len(dims) else 0,
-                cols=dims[i] * dims[j])
-        rings[s] = Ring(dims, mult)
+            ring.mult[(i, j)] = Matrix.from_json(
+                m, cols=ring.dim(i) * ring.dim(j))
         traces[s] = [rat_from_str(x) for x in entry["trace"]]
         ample[s] = [rat_from_str(x) for x in entry["ample"]]
     restrictions = {}
@@ -801,9 +838,7 @@ def loads(text):
         a, b = key.split("|")
         s, t = frozenset(a.split(",")), frozenset(b.split(","))
         restrictions[(s, t)] = {
-            int(deg): Matrix.from_json(
-                m, rows=rings[t].dim(int(deg)),
-                cols=rings[s].dim(int(deg)))
+            int(deg): Matrix.from_json(m, cols=rings[s].dim(int(deg)))
             for deg, m in mats.items()}
     gysin = {}
     for key, mats in data.get("gysin", {}).items():
@@ -811,8 +846,7 @@ def loads(text):
         s = frozenset(a.split(","))
         gysin[(s, nu)] = {
             int(deg): Matrix.from_json(
-                m, rows=rings[s].dim(int(deg) + 2),
-                cols=rings[s | {nu}].dim(int(deg)))
+                m, cols=rings[s | {nu}].dim(int(deg)))
             for deg, m in mats.items()}
     return StrataDatum(
         n=data["n"], labels=labels, nerve=nerve, rings=rings,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -134,3 +136,26 @@ def test_output_to_unwritable_path(tmp_path):
     path = write_cycle3(tmp_path)
     code = main(["mhs", path, "-o", str(tmp_path / "no" / "x.txt")])
     assert code == 3
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_misshaped_product_table_exits_1(tmp_path, flags):
+    """Shape errors are input errors, also when `python -O` strips
+    asserts: exit 1, the table's path in the message, no traceback."""
+    datum = strata.fixture_product_with_p1(strata.fixture_cycle_of_p1(3))
+    data = json.loads(strata.dumps(datum))
+    row = data["strata"]["C0"]["products"]["2,2"][0]
+    src = os.path.dirname(os.path.dirname(strata.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for bad, got in ((row[:-1], "1x3"), (row + ["0"], "1x5")):
+        data["strata"]["C0"]["products"]["2,2"] = [bad]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable] + flags + ["-m", "limhodge.cli", "validate",
+                                        str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert ("strata/C0/products/2,2: expected 1x4, got %s" % got
+                in proc.stdout)
+        assert "Traceback" not in proc.stdout + proc.stderr

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limhodge.exactlin import (
-    Matrix, Subspace, rref, rank, kernel, image, solve, quotient,
-    inverse, is_positive_definite, determinant, rat_to_str, rat_from_str,
-    hstack, vstack, block_diag,
+    ConsistencyError, Matrix, Subspace, rref, rank, kernel, image, solve,
+    quotient, inverse, is_positive_definite, determinant, rat_to_str,
+    rat_from_str, hstack, vstack, block_diag,
 )
 
 
@@ -126,6 +126,46 @@ def test_ata_plus_identity_positive_definite(r, c, data):
     a = data.draw(small_matrix(r, c))
     g = a.transpose() * a + Matrix.identity(c)
     assert is_positive_definite(g)
+
+
+def dense_matvec(m, v):
+    """The dense product, as the kernel computed it before it skipped
+    zeros; kept as the reference for the sparse kernel."""
+    return [sum((m.a[i][j] * Q(v[j]) for j in range(m.cols)), Q(0))
+            for i in range(m.rows)]
+
+
+def half_zero_matrix(rows, cols):
+    """Random rational matrices with at least half of the entries 0."""
+    n = rows * cols
+    return st.tuples(
+        st.lists(rationals, min_size=n, max_size=n),
+        st.sets(st.integers(0, n - 1), min_size=(n + 1) // 2),
+    ).map(lambda t: Matrix(rows, cols, [
+        [Q(0) if i * cols + j in t[1] else t[0][i * cols + j]
+         for j in range(cols)] for i in range(rows)]))
+
+
+# Mixes int and Fraction entries; about a third of them are 0.
+mixed_entries = st.one_of(st.just(0), st.integers(-5, 5), rationals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_sparse_matvec_matches_dense(r, c, data):
+    m = data.draw(half_zero_matrix(r, c))
+    v = data.draw(st.lists(mixed_entries, min_size=c, max_size=c).filter(
+        lambda v: sum(x != 0 for x in v) >= min(c, 2)))
+    out = m.matvec(v)
+    assert out == dense_matvec(m, v)
+    assert all(type(x) is Q for x in out)
+
+
+def test_matvec_rejects_wrong_length():
+    m = M([[1, 0, 2], [0, 3, 0]])
+    for v in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(ConsistencyError):
+            m.matvec(v)
 
 
 def test_negative_identity_not_positive_definite():

@@ -1,9 +1,11 @@
 import copy
+import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from limhodge.exactlin import Matrix
+from limhodge.exactlin import ConsistencyError, Matrix
 from limhodge.strata import (
     StrataDatum, StrataError, Ring, validate, all_checks_pass,
     fixture_projective_space, fixture_cycle_of_p1, fixture_product_with_p1,
@@ -136,6 +138,106 @@ def test_mutation_sensitivity():
         s = frozenset(key.split(","))
         d2.traces[s] = [x + 1 for x in d2.traces[s]]
         assert not all_checks_pass(validate(d2)), key
+    # perturb each product-table entry by +1, except the squares of
+    # basis vectors (i == j and a == b), which commutativity cannot see
+    base = dumps(fixture_product_with_p1(fixture_cycle_of_p1(3)))
+    data = json.loads(base)
+    mutations = 0
+    for key, entry in data["strata"].items():
+        dims = entry["dims"]
+        for ij, rows in entry["products"].items():
+            i, j = (int(x) for x in ij.split(","))
+            for r, row in enumerate(rows):
+                for col in range(len(row)):
+                    if i == j and col // dims[j] == col % dims[j]:
+                        continue
+                    d2 = copy.deepcopy(data)
+                    cell = d2["strata"][key]["products"][ij][r]
+                    cell[col] = str(Q(cell[col]) + 1)
+                    rep = validate(loads(json.dumps(d2)))
+                    assert any(c["check"] == "ring-axioms" and not c["ok"]
+                               for c in rep), (key, ij, r, col)
+                    mutations += 1
+    assert mutations == 42
+
+
+def dense_mul(ring, i, j, x, y):
+    """The product as computed before the kernel skipped zeros: a dense
+    vector of all pairs times the whole table. Reference for Ring.mul."""
+    if ring.dim(i + j) == 0:
+        return []
+    t = ring.table(i, j)
+    v = [Q(0)] * (ring.dim(i) * ring.dim(j))
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            if xa != 0 and yb != 0:
+                v[a * ring.dim(j) + b] = xa * yb
+    return [sum((t.a[r][c] * Q(v[c]) for c in range(t.cols)), Q(0))
+            for r in range(t.rows)]
+
+
+rationals = st.builds(Q, st.integers(-8, 8), st.integers(1, 4))
+# Mixes int and Fraction entries; about a third of them are 0.
+mixed_entries = st.one_of(st.just(0), st.integers(-5, 5), rationals)
+
+
+def vectors(n):
+    return st.lists(mixed_entries, min_size=n, max_size=n).filter(
+        lambda v: sum(x != 0 for x in v) >= min(n, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_sparse_ring_mul_matches_dense(di, dj, dk, data):
+    n = di * dj
+    entries = data.draw(st.lists(rationals, min_size=dk * n,
+                                 max_size=dk * n))
+    zeros = data.draw(st.sets(st.integers(0, dk * n - 1),
+                              min_size=(dk * n + 1) // 2))
+    table = Matrix(dk, n, [[Q(0) if r * n + c in zeros else entries[r * n + c]
+                            for c in range(n)] for r in range(dk)])
+    ring = Ring([1, di, dj, dk], {(1, 2): table})
+    x, y = data.draw(vectors(di)), data.draw(vectors(dj))
+    out = ring.mul(1, 2, x, y)
+    assert out == dense_mul(ring, 1, 2, x, y)
+    assert all(type(v) is Q for v in out)
+
+
+def test_ring_mul_rejects_mismatched_shapes():
+    ring = Ring([1, 2, 2, 1], {(1, 2): Matrix.zero(1, 3)})
+    with pytest.raises(ConsistencyError):
+        ring.mul(1, 2, [1, 0], [0, 1])
+    ring = Ring([1, 2, 2, 1], {(1, 2): Matrix.zero(1, 4)})
+    for x, y in (([1], [0, 1]), ([1, 0], [0, 1, 1])):
+        with pytest.raises(ConsistencyError):
+            ring.mul(1, 2, x, y)
+
+
+def test_load_rejects_misshaped_tables():
+    data = json.loads(dumps(fixture_product_with_p1(fixture_cycle_of_p1(3))))
+    cases = [
+        (("strata", "C0", "products", "2,2"), lambda m: [m[0][:-1]],
+         "strata/C0/products/2,2: expected 1x4, got 1x3"),
+        (("strata", "C0", "products", "2,2"), lambda m: [m[0] + ["0"]],
+         "strata/C0/products/2,2: expected 1x4, got 1x5"),
+        (("strata", "C0", "products", "2,0"), lambda m: m + [["0"]],
+         "strata/C0/products/2,0: expected 2x2, got ragged rows"),
+        (("strata", "C0", "products", "9,9"), lambda m: [["1"]],
+         "strata/C0/products/9,9: expected 0x0, got 1x1"),
+        (("restrictions", "C0|C0,C1", "2"), lambda m: m[:-1],
+         "restrictions/C0|C0,C1/2: expected 1x2, got 0x2"),
+        (("gysin", "C0|C1", "0"), lambda m: [r + ["0"] for r in m],
+         "gysin/C0|C1/0: expected 2x1, got 2x2"),
+    ]
+    for path, mutate, message in cases:
+        d2 = copy.deepcopy(data)
+        parent = d2
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = mutate(parent.get(path[-1]))
+        with pytest.raises(StrataError) as err:
+            loads(json.dumps(d2))
+        assert str(err.value) == message
 
 
 def test_kunneth_of_valid_is_valid():
