@@ -8,14 +8,13 @@ failure, 3 I/O error.
 
 import argparse
 import json
-import os
 import sys
 
 from .exactlin import rank, rat_to_str
 from . import strata
 from .limitpage import (
     build_e1_A, build_e1_K, compute_limit, pairing, verify_polarized,
-    compare_pages, trace_tr, Columns,
+    compare_pages, Columns,
 )
 
 
@@ -50,16 +49,6 @@ class RunConfig:
         self.dim = dim
 
 
-def thread_cap():
-    """Worker cap from LIMHODGE_THREADS; evaluation is sequential and
-    deterministic regardless, so the cap never changes any output."""
-    val = os.environ.get("LIMHODGE_THREADS", "1")
-    try:
-        return max(1, int(val))
-    except ValueError:
-        return 1
-
-
 def _pages(config, datum):
     out = []
     if config.page in ("A", "both"):
@@ -69,16 +58,11 @@ def _pages(config, datum):
     return out
 
 
-def _check_list(checks):
-    return [{"check": c["check"], "where": c["where"],
-             "ok": c["ok"], "witness": c["witness"]} for c in checks]
-
-
 def _cmd_validate(config):
     datum = strata.load(config.path)
     rep = strata.validate(datum)
     result = {"command": "validate", "input": config.path,
-              "checks": _check_list(rep)}
+              "checks": rep}
     return (0 if strata.all_checks_pass(rep) else 1), result
 
 
@@ -145,39 +129,34 @@ def _cmd_mhs(config):
               "cohomology": coh,
               "trace": [rat_to_str(x) for x in lim.tr.row(0)]
               if lim.tr.cols else [],
-              "checks": _check_list(lim.verdicts)}
+              "checks": lim.verdicts}
     if config.dump:
         result["N"] = {"%d,%d" % c: m.to_json()
                        for c, m in sorted(lim.N.items())}
         result["pairing"] = {"%d,%d" % c: m.to_json()
                              for c, m in sorted(lim.Q.items())}
-    ok = all(r["ok"] for r in lim.verdicts)
-    return (0 if ok else 2), result
+    return (0 if strata.all_checks_pass(lim.verdicts) else 2), result
 
 
 def _cmd_polarize(config):
     datum = strata.load(config.path)
     lim = compute_limit(datum)
-    checks = list(lim.verdicts)
-    checks += pairing(lim).checks
-    checks += verify_polarized(lim)
+    checks = lim.verdicts + pairing(lim).checks + verify_polarized(lim)
     result = {"command": "polarize", "input": config.path,
-              "checks": _check_list(checks)}
-    ok = all(c["ok"] for c in checks)
-    code = 0 if ok or not config.strict else 2
-    return code, result
+              "checks": checks}
+    ok = strata.all_checks_pass(checks)
+    return (0 if ok or not config.strict else 2), result
 
 
 def _cmd_compare(config):
     datum = strata.load(config.path)
     rep, dims = compare_pages(datum)
     result = {"command": "compare", "input": config.path,
-              "checks": _check_list(rep),
+              "checks": rep,
               "cells": [{"m": m, "q": q, "dimA": a, "dimK": k}
                         for (m, q), (a, k) in sorted(dims.items())
                         if (a, k) != (0, 0)]}
-    ok = all(r["ok"] for r in rep)
-    return (0 if ok else 2), result
+    return (0 if strata.all_checks_pass(rep) else 2), result
 
 
 def _cmd_fixture(config):
@@ -211,7 +190,6 @@ _HANDLERS = {
 
 def run(config):
     """Execute one command; returns (exit code, result dict)."""
-    thread_cap()
     try:
         return _HANDLERS[config.command](config)
     except OSError as e:
@@ -287,7 +265,7 @@ def build_parser():
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("path", help="strata JSON file")
-        p.add_argument("--format", choices=("json", "table"),
+        p.add_argument("--format", dest="fmt", choices=("json", "table"),
                        default="table")
         p.add_argument("--strict", action="store_true",
                        help="exit nonzero on any failed verdict")
@@ -309,30 +287,14 @@ def build_parser():
                    help="number of components of the cycle")
     p.add_argument("--dim", type=int, default=2,
                    help="dimension of the projective space")
-    p.add_argument("--format", choices=("json", "table"),
+    p.add_argument("--format", dest="fmt", choices=("json", "table"),
                    default="table")
     p.add_argument("-o", "--output", default=None)
     return parser
 
 
-def config_from_args(args):
-    return RunConfig(
-        command=args.command,
-        path=getattr(args, "path", None),
-        page=getattr(args, "page", "A"),
-        fmt=args.format,
-        strict=getattr(args, "strict", False),
-        dump=getattr(args, "dump", False),
-        output=args.output,
-        kind=getattr(args, "kind", None),
-        components=getattr(args, "components", 3),
-        dim=getattr(args, "dim", 2),
-    )
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     code, result = run(config)
     text = report_render(result, config.fmt)
     if config.command != "fixture" and config.output:

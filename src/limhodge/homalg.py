@@ -10,8 +10,8 @@ d (x) 1 + (-1)^p 1 (x) d; the identification K[a] (x) L[b] ->
 from fractions import Fraction as Q
 
 from .exactlin import (
-    Matrix, Subspace, kernel, image, quotient, rank, solve,
-    hstack, block_diag,
+    ConsistencyError, Matrix, Subspace, kernel, image, quotient, rank,
+    solve, hstack, block_diag,
 )
 
 
@@ -32,13 +32,13 @@ class Complex:
             m = diffs.get(p)
             if m is None:
                 m = Matrix.zero(self.dim(p + 1), self.dim(p))
-            assert m.rows == self.dim(p + 1) and m.cols == self.dim(p), \
-                ("differential shape at degree", p)
+            if (m.rows, m.cols) != (self.dim(p + 1), self.dim(p)):
+                raise ConsistencyError("differential shape at degree", p)
             self.d[p] = m
         if check:
             for p in range(self.lo, self.hi):
-                assert (self.d[p + 1] * self.d[p]).is_zero(), \
-                    ("d^2 != 0 at degree", p)
+                if not (self.d[p + 1] * self.d[p]).is_zero():
+                    raise ConsistencyError("d^2 != 0 at degree", p)
         self._coh = {}
 
     def __eq__(self, other):

@@ -38,7 +38,7 @@ from .exactlin import (
 )
 from .homalg import Complex
 from .cubical import chi, wedge_insert_sign, contract_sign
-from .strata import unit_vec
+from .strata import Report, all_checks_pass, unit_vec
 
 
 def eps(a):
@@ -297,12 +297,11 @@ def build_e1_A(datum):
     return E1Page("A", datum, cells)
 
 
-def build_e1_K(datum, m_max=None):
+def build_e1_K(datum):
     """E1 page of the Cech-model weight spectral sequence, truncated
-    at weight index m <= m_max (default 2n+2: the u-tower extends to
-    arbitrarily large m but E2 is supported in |m| <= 2n - |q - n|)."""
-    if m_max is None:
-        m_max = 2 * datum.n + 2
+    at weight index m <= m_max = 2n+2: the u-tower extends to
+    arbitrarily large m but E2 is supported in |m| <= 2n - |q - n|."""
+    m_max = 2 * datum.n + 2
     ix = datum.ix
     cells = {}
     for tau in sorted(datum.nerve, key=ix.subset_key):
@@ -332,17 +331,6 @@ def build_e1_K(datum, m_max=None):
     return E1Page("K", datum, cells, m_max=m_max)
 
 
-def operator_N(page):
-    """Cellwise matrices of the monodromy operator, (m,q) -> (m-2,q)."""
-    return {cell: page.n_mat(*cell) for cell in page.cell_keys()}
-
-
-def operator_l(page, datum=None):
-    """Cellwise matrices of the Lefschetz operator, (m,q) -> (m,q+2)."""
-    assert datum is None or datum is page.datum
-    return {cell: page.l_mat(*cell) for cell in page.cell_keys()}
-
-
 class PhiMap:
     """Comparison chain map from the A page to the K page."""
 
@@ -359,16 +347,12 @@ class PhiMap:
         return mat
 
 
-def phi_e1(datum, page_a=None, page_k=None):
+def phi_e1(page_a, page_k):
     """The comparison map: the A-summand (sigma, r) is sent, for every
     subset A of sigma with |A| >= r+1, to the K-summand
     (A, |A|-1-r, sigma - A) carried by the same stratum cohomology,
     with coefficient (-1)^(|A|-1) chi(A, sigma - A)."""
-    if page_a is None:
-        page_a = build_e1_A(datum)
-    if page_k is None:
-        page_k = build_e1_K(datum)
-    ix = datum.ix
+    ix = page_a.datum.ix
     comps = {}
     for (m, q), lst in page_a.cells.items():
         out = Matrix.zero(page_k.dim(m, q), page_a.dim(m, q))
@@ -560,11 +544,6 @@ class LimitMHS:
         return entry[1] if entry else \
             Matrix.zero(0, self.page.dim(m, q))
 
-    def sec(self, m, q):
-        entry = self.e2.get((m, q))
-        return entry[2] if entry else \
-            Matrix.zero(self.page.dim(m, q), 0)
-
     def n_block(self, m, q):
         blk = self.N.get((m, q))
         if blk is None:
@@ -601,42 +580,30 @@ class LimitMHS:
         return mat
 
     def _basic_verdicts(self):
-        report = []
+        report = Report()
         n = self.n
         # Euler oracle against open-stratum characteristics
         euler = sum((-1 if q % 2 else 1) * self.h(q)
                     for q in range(2 * n + 1))
         oracle = sum(self.datum.euler_open(x)
                      for x in self.datum.ix.labels)
-        report.append({
-            "check": "euler-oracle", "where": "total",
-            "ok": euler == oracle,
-            "witness": "" if euler == oracle
-            else "%s != %s" % (euler, oracle)})
+        report.add("euler-oracle", "total", euler == oracle,
+                   "%s != %s" % (euler, oracle))
         # weight-support bounds
         bad = [(m, q) for (m, q) in self.e2
                if not (-q <= m <= q
                        and -2 * n + q <= m <= 2 * n - q)]
-        report.append({
-            "check": "weight-bounds", "where": "all cells",
-            "ok": not bad,
-            "witness": "" if not bad else "cell %r" % (bad[0],)})
+        report.add("weight-bounds", "all cells", not bad,
+                   bad and "cell %r" % (bad[0],))
         # H^{2n}: single weight 2n, trace defined and rational
-        top_ok = all(m == 0 for (m, q) in self.e2 if q == 2 * n)
-        report.append({
-            "check": "top-weight", "where": "q=%d" % (2 * n),
-            "ok": top_ok,
-            "witness": "" if top_ok else "weight spread in top degree"})
+        report.add("top-weight", "q=%d" % (2 * n),
+                   all(m == 0 for (m, q) in self.e2 if q == 2 * n),
+                   "weight spread in top degree")
         return report
 
 
 def compute_limit(datum):
     return LimitMHS(datum)
-
-
-def trace_tr(limit):
-    """The trace functional on H^{2n}, as a 1 x dim row matrix."""
-    return limit.tr
 
 
 class HLModule:
@@ -648,7 +615,7 @@ class HLModule:
     def __init__(self, limit):
         self.limit = limit
         self.n = limit.n
-        self.checks = []
+        self.checks = Report()
 
     def piece_dim(self, i, j):
         return self.limit.dim(-i, self.n + j)
@@ -656,13 +623,6 @@ class HLModule:
     def bracket(self, i, j):
         """Pairing matrix L^{-i,-j} x L^{i,j} -> Q."""
         return self.limit.q_block(i, self.n - j).scale(eps(j - self.n))
-
-    def s_form(self, q, m):
-        """The form S_q(x, y) = eps(q) Q(x, l^{n-q} y) between the
-        weight pieces E2(m, q) and E2(-m, q), for q <= n."""
-        lim = self.limit
-        lp = lim.l_power(-m, q, self.n - q)
-        return (lim.q_block(m, q) * lp).scale(eps(q))
 
     def primitive(self, q, i):
         """P_i inside E2(i, q): kernel of N^{i+1} and of l^{n-q+1}."""
@@ -691,51 +651,44 @@ class HLModule:
 def pairing(limit):
     """Assemble the Lefschetz-module pairing data and certify the
     pairing identities; the verdicts land in the returned module's
-    .checks list."""
+    .checks report."""
     hl = HLModule(limit)
+    report = hl.checks
     n = limit.n
     page = limit.page
-
-    def add(check, where, ok, witness=""):
-        hl.checks.append({"check": check, "where": where,
-                          "ok": bool(ok),
-                          "witness": witness if not ok else ""})
-
     cells = sorted(limit.e2)
     for (m, q) in cells:
         where = "m=%d,q=%d" % (m, q)
         partner = (-m, 2 * n - q)
         # descent: the E1 pairing is d1-adjoint up to (-1)^q
-        defect = pairing_descent_defect(page, m, q)
-        add("Q-descent", where, defect.is_zero(),
-            "adjointness defect nonzero")
+        report.add_zero("Q-descent", where,
+                        pairing_descent_defect(page, m, q))
         if partner not in limit.e2:
-            add("Q-perfect", where, False, "partner cell missing")
+            report.add("Q-perfect", where, False, "partner cell missing")
             continue
         qmat = limit.q_block(m, q)
         qback = limit.q_block(*partner)
         sgn = -1 if q % 2 else 1
-        add("Q-symmetry", where,
-            qback == qmat.transpose().scale(sgn),
-            "Q(y,x) != (-1)^q Q(x,y)")
-        add("Q-perfect", where,
-            qmat.rows == qmat.cols and rank(qmat) == qmat.rows,
-            "pairing not perfect")
+        report.add("Q-symmetry", where,
+                   qback == qmat.transpose().scale(sgn),
+                   "Q(y,x) != (-1)^q Q(x,y)")
+        report.add("Q-perfect", where,
+                   qmat.rows == qmat.cols and rank(qmat) == qmat.rows,
+                   "pairing not perfect")
         # F- and W-orthogonality: nonzero components only pair Hodge
         # levels p and n-p and weights w and 2n-w
         px = Q(q + m, 2)
         py = Q(2 * n - q - m, 2)
-        add("Q-orthogonality", where, px + py == n,
-            "Hodge levels do not balance")
+        report.add("Q-orthogonality", where, px + py == n,
+                   "Hodge levels do not balance")
         # N-antisymmetry: Q(Nx, y) + Q(x, Ny) = 0 with
         # x in E2(m,q), y in E2(2-m, 2n-q)
         src_y = (2 - m, 2 * n - q)
         nx = limit.n_block(m, q)
         ny = limit.n_block(*src_y)
-        lhs = nx.transpose() * limit.q_block(m - 2, q)
-        rhs = limit.q_block(m, q) * ny
-        add("Q-N-antisymmetry", where, (lhs + rhs).is_zero(),
-            "Q(Nx,y) + Q(x,Ny) != 0")
+        report.add_zero("Q-N-antisymmetry", where,
+                        nx.transpose() * limit.q_block(m - 2, q)
+                        + limit.q_block(m, q) * ny)
     return hl
 
 
@@ -743,41 +696,36 @@ def verify_polarized(limit):
     """Full polarization report: N-nilpotence, the weight symmetry
     N^i: gr-weight (q+i) -> (q-i), hard Lefschetz across the middle
     degree, and positive definiteness of the primitive forms."""
-    report = []
+    report = Report()
     n = limit.n
     hl = HLModule(limit)
-
-    def add(check, where, ok, witness=""):
-        report.append({"check": check, "where": where, "ok": bool(ok),
-                       "witness": witness if not ok else ""})
-
     for q in range(0, 2 * n + 1):
         ms = sorted(m for (m, qq) in limit.e2 if qq == q)
         if not ms:
             continue
         # (i) N^{q+1} = 0 on H^q
         ok = all(limit.n_power(m, q, q + 1).is_zero() for m in ms)
-        add("N-nilpotent", "q=%d" % q, ok, "N^%d != 0" % (q + 1))
+        report.add("N-nilpotent", "q=%d" % q, ok, "N^%d != 0" % (q + 1))
         # (ii) N^i: weight q+i -> weight q-i is an isomorphism
         for i in range(1, max(ms, default=0) + 1):
             da, db = limit.dim(i, q), limit.dim(-i, q)
             if da == 0 and db == 0:
                 continue
             mat = limit.n_power(i, q, i)
-            add("weight-symmetry", "N^%d at q=%d" % (i, q),
-                da == db and rank(mat) == da,
-                "N^%d: dim %d -> dim %d rank %d"
-                % (i, da, db, rank(mat)))
+            report.add("weight-symmetry", "N^%d at q=%d" % (i, q),
+                       da == db and rank(mat) == da,
+                       "N^%d: dim %d -> dim %d rank %d"
+                       % (i, da, db, rank(mat)))
     # (iii) hard Lefschetz l^{n-q}: H^q -> H^{2n-q} blockwise
     for q in range(0, n + 1):
         for m in sorted(m for (m, qq) in limit.e2 if qq == q):
             da = limit.dim(m, q)
             db = limit.dim(m, 2 * n - q)
             mat = limit.l_power(m, q, n - q)
-            add("hard-lefschetz", "l^%d at m=%d,q=%d" % (n - q, m, q),
-                da == db and rank(mat) == da,
-                "l^%d: dim %d -> dim %d rank %d"
-                % (n - q, da, db, rank(mat)))
+            report.add("hard-lefschetz", "l^%d at m=%d,q=%d" % (n - q, m, q),
+                       da == db and rank(mat) == da,
+                       "l^%d: dim %d -> dim %d rank %d"
+                       % (n - q, da, db, rank(mat)))
     # (iv)+(v) primitive pieces and positivity
     for q in range(0, n + 1):
         for i in range(0, q + 1):
@@ -787,55 +735,49 @@ def verify_polarized(limit):
             if prim.dim == 0:
                 continue
             where = "P_%d at q=%d" % (i, q)
-            add("primitive-symmetric", where,
-                form == form.transpose(), "form not symmetric")
-            add("HL-positivity", where, is_positive_definite(form),
-                "form not positive definite on a %d-dim piece"
-                % prim.dim)
+            report.add("primitive-symmetric", where,
+                       form == form.transpose(), "form not symmetric")
+            report.add("HL-positivity", where, is_positive_definite(form),
+                       "form not positive definite on a %d-dim piece"
+                       % prim.dim)
     return report
 
 
-def compare_pages(datum, page_a=None, page_k=None):
+def compare_pages(datum):
     """Cross-certification of the two pages: d1 squares to zero, the
     comparison map is a chain map commuting with N and l, the trace
     functional kills d1 and pulls back to the stratum trace sum, and
     the induced map on E2 is a cellwise isomorphism."""
-    if page_a is None:
-        page_a = build_e1_A(datum)
-    if page_k is None:
-        page_k = build_e1_K(datum)
-    phi = phi_e1(datum, page_a, page_k)
+    page_a, page_k = build_e1_A(datum), build_e1_K(datum)
+    phi = phi_e1(page_a, page_k)
     n = datum.n
-    report = []
-
-    def add(check, where, ok, witness=""):
-        report.append({"check": check, "where": where, "ok": bool(ok),
-                       "witness": witness if not ok else ""})
-
-    for (m, q) in page_a.cell_keys():
-        ok = (page_a.d1(m - 1, q + 1) * page_a.d1(m, q)).is_zero()
-        add("d1-squared-A", "m=%d,q=%d" % (m, q), ok)
-    for (m, q) in page_k.cell_keys():
-        ok = (page_k.d1(m - 1, q + 1) * page_k.d1(m, q)).is_zero()
-        add("d1-squared-K", "m=%d,q=%d" % (m, q), ok)
+    report = Report()
+    for page in (page_a, page_k):
+        for (m, q) in page.cell_keys():
+            report.add_zero("d1-squared-" + page.variant,
+                            "m=%d,q=%d" % (m, q),
+                            page.d1(m - 1, q + 1) * page.d1(m, q))
+    d1_squares_zero = all_checks_pass(report)
     for (m, q) in page_a.cell_keys():
         where = "m=%d,q=%d" % (m, q)
-        lhs = page_k.d1(m, q) * phi.comp(m, q)
-        rhs = phi.comp(m - 1, q + 1) * page_a.d1(m, q)
-        add("phi-chain-map", where, lhs == rhs)
-        lhs = page_k.n_mat(m, q) * phi.comp(m, q)
-        rhs = phi.comp(m - 2, q) * page_a.n_mat(m, q)
-        add("phi-N-commute", where, lhs == rhs)
-        lhs = page_k.l_mat(m, q) * phi.comp(m, q)
-        rhs = phi.comp(m, q + 2) * page_a.l_mat(m, q)
-        add("phi-l-commute", where, lhs == rhs)
+        report.add_zero("phi-chain-map", where,
+                        page_k.d1(m, q) * phi.comp(m, q)
+                        - phi.comp(m - 1, q + 1) * page_a.d1(m, q))
+        report.add_zero("phi-N-commute", where,
+                        page_k.n_mat(m, q) * phi.comp(m, q)
+                        - phi.comp(m - 2, q) * page_a.n_mat(m, q))
+        report.add_zero("phi-l-commute", where,
+                        page_k.l_mat(m, q) * phi.comp(m, q)
+                        - phi.comp(m, q + 2) * page_a.l_mat(m, q))
     theta = trace_theta(page_k)
-    add("theta-d1", "cell (1,%d)" % (2 * n - 1),
-        (theta * page_k.d1(1, 2 * n - 1)).is_zero(),
-        "trace functional does not kill d1")
-    add("theta-phi-trace", "cell (0,%d)" % (2 * n),
-        theta * phi.comp(0, 2 * n) == _trace_row_a(page_a),
-        "theta pulled back along phi differs from the stratum traces")
+    report.add_zero("theta-d1", "cell (1,%d)" % (2 * n - 1),
+                    theta * page_k.d1(1, 2 * n - 1))
+    report.add("theta-phi-trace", "cell (0,%d)" % (2 * n),
+               theta * phi.comp(0, 2 * n) == _trace_row_a(page_a),
+               "theta pulled back along phi differs from the stratum "
+               "traces")
+    if not d1_squares_zero:
+        return report, {}  # E2 is undefined
     cols_a = Columns(page_a)
     cols_k = Columns(page_k)
     cell_dims = {}
@@ -848,12 +790,8 @@ def compare_pages(datum, page_a=None, page_k=None):
         if da == 0 and dk == 0:
             continue
         induced = pk_proj * phi.comp(m, q) * sa
-        add("E2-iso", "m=%d,q=%d" % (m, q),
-            da == dk and rank(induced) == da,
-            "E2 dims %d vs %d, induced rank %d"
-            % (da, dk, rank(induced)))
+        report.add("E2-iso", "m=%d,q=%d" % (m, q),
+                   da == dk and rank(induced) == da,
+                   "E2 dims %d vs %d, induced rank %d"
+                   % (da, dk, rank(induced)))
     return report, cell_dims
-
-
-def all_ok(report):
-    return all(r["ok"] for r in report)

@@ -291,15 +291,31 @@ class StrataDatum:
                 self.gysin[(sigma, nu)] = mats
 
 
-def validate(datum, fail_fast=False):
-    """Run checks (a)-(h); returns a list of dicts with keys
-    check, where, ok, witness."""
-    report = []
+class Report(list):
+    """Verdicts of a run, in order: dicts with keys check, where, ok and
+    witness. A failing entry names its witness; a passing one has ""."""
 
-    def add(check, where, ok, witness=""):
-        report.append({"check": check, "where": where, "ok": bool(ok),
-                       "witness": witness if not ok else ""})
+    def add(self, check, where, ok, witness=""):
+        ok = bool(ok)
+        self.append({"check": check, "where": where, "ok": ok,
+                     "witness": "" if ok else witness})
 
+    def add_zero(self, check, where, defect):
+        """A check that the matrix `defect` is zero; a failure names its
+        first nonzero entry."""
+        witness = next(("entry (%d,%d) = %s" % (i, j, rat_to_str(x))
+                        for i, row in enumerate(defect.a)
+                        for j, x in enumerate(row) if x), "")
+        self.add(check, where, not witness, witness)
+
+
+def all_checks_pass(report):
+    return all(r["ok"] for r in report)
+
+
+def validate(datum):
+    """Run checks (a)-(h); returns a Report."""
+    report = Report()
     for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
         key = ",".join(datum.ix.sort(sigma))
         ring = datum.ring(sigma)
@@ -342,7 +358,7 @@ def validate(datum, fail_fast=False):
                                     ok = False
                                     wit = ("associativity fails at "
                                            "(%d,%d,%d)" % (i, j, k))
-        add("ring-axioms", key, ok, wit)
+        report.add("ring-axioms", key, ok, wit)
         # (e) Poincaré duality
         ok = True
         wit = ""
@@ -359,7 +375,7 @@ def validate(datum, fail_fast=False):
                     pair.a[a][b] = datum.trace(sigma, prod)
             if rank(pair) != dk:
                 ok, wit = False, "degenerate pairing in degree %d" % k
-        add("poincare-duality", key, ok, wit)
+        report.add("poincare-duality", key, ok, wit)
         # (f) hard Lefschetz
         ok = True
         wit = ""
@@ -371,7 +387,7 @@ def validate(datum, fail_fast=False):
             if ring.dim(d - k) != ring.dim(d + k) \
                     or rank(op) != ring.dim(d - k):
                 ok, wit = False, "l^%d not an isomorphism" % k
-        add("hard-lefschetz", key, ok, wit)
+        report.add("hard-lefschetz", key, ok, wit)
         # (g) Hodge-Riemann on primitive parts (Hodge-Tate case)
         ok = True
         wit = ""
@@ -401,7 +417,7 @@ def validate(datum, fail_fast=False):
                 if not is_positive_definite(form):
                     ok, wit = False, \
                         "primitive form not positive in degree %d" % k
-        add("hodge-riemann", key, ok, wit)
+        report.add("hodge-riemann", key, ok, wit)
 
     # (b) restriction functoriality and ring maps; (h) ample restriction
     for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
@@ -436,12 +452,13 @@ def validate(datum, fail_fast=False):
                                 ok = False
                                 wit = ("not a ring map at degrees "
                                        "(%d,%d)" % (i, j))
-            add("restriction-ring-map", "%s->%s" % (key, tkey), ok, wit)
+            where = "%s->%s" % (key, tkey)
+            report.add("restriction-ring-map", where, ok, wit)
             # (h)
             okh = datum.restrict_mat(sigma, tau, 2).matvec(
                 datum.ample[sigma]) == datum.ample[tau]
-            add("ample-restriction", "%s->%s" % (key, tkey), okh,
-                "" if okh else "restricted ample class differs")
+            report.add("ample-restriction", where, okh,
+                       "restricted ample class differs")
         # functoriality over two-step extensions
         for x in datum.ix.labels:
             for y in datum.ix.labels:
@@ -459,9 +476,9 @@ def validate(datum, fail_fast=False):
                         datum.restrict_mat(sigma, sigma | {y}, deg)
                     if via_x != via_y:
                         ok, wit = False, "paths differ in degree %d" % deg
-                add("restriction-functoriality",
-                    "%s->%s" % (key, ",".join(datum.ix.sort(tau))),
-                    ok, wit)
+                report.add("restriction-functoriality",
+                           "%s->%s" % (key, ",".join(datum.ix.sort(tau))),
+                           ok, wit)
 
     # (c) projection formula and (d) Gysin-trace adjunction
     for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
@@ -510,19 +527,10 @@ def validate(datum, fail_fast=False):
                                     witd = ("adjunction fails at "
                                             "(%d,%d): %s != %s"
                                             % (i, j, lhs, rhs))
-            add("projection-formula", wkey, okc, witc)
-            add("gysin-trace-adjunction", wkey, okd, witd)
+            report.add("projection-formula", wkey, okc, witc)
+            report.add("gysin-trace-adjunction", wkey, okd, witd)
 
-    if fail_fast:
-        for r in report:
-            if not r["ok"]:
-                raise StrataError("%s at %s: %s"
-                                  % (r["check"], r["where"], r["witness"]))
     return report
-
-
-def all_checks_pass(report):
-    return all(r["ok"] for r in report)
 
 
 def unit_vec(n, i):
@@ -615,7 +623,6 @@ def fixture_cycle_of_p1(n_components):
 def fixture_product_with_p1(datum):
     """Künneth product of every stratum with P^1 (all classes are of
     even degree, so no Koszul signs enter)."""
-    f = p1_ring()
     rings = {}
     traces = {}
     ample = {}
@@ -624,29 +631,14 @@ def fixture_product_with_p1(datum):
     for s, r in datum.rings.items():
         d = datum.stratum_dim(s)
         new_top = 2 * (d + 1)
-        dims = [0] * (new_top + 1)
-        for i in range(r.top + 1):
-            for u in (0, 2):
-                dims[i + u] += r.dim(i) * f.dim(u)
-        # basis of degree k: blocks (i, u) with i + u = k, u in {0, 2},
-        # ordered by u ascending
-        def offsets(k, rr=r):
-            out = {}
-            pos = 0
-            for u in (0, 2):
-                i = k - u
-                if 0 <= i <= rr.top and rr.dim(i) and f.dim(u):
-                    out[(i, u)] = pos
-                    pos += rr.dim(i)
-            return out
-
+        dims = [r.dim(k) + r.dim(k - 2) for k in range(new_top + 1)]
         mult = {}
         for i in range(0, new_top + 1):
             for j in range(0, new_top + 1 - i):
                 di, dj, dij = dims[i], dims[j], dims[i + j]
                 m = Matrix.zero(dij, di * dj)
-                offi, offj, offij = offsets(i), offsets(j), \
-                    offsets(i + j)
+                offi, offj, offij = (_kunneth_blocks(r, x)
+                                     for x in (i, j, i + j))
                 for (i1, u1), o1 in offi.items():
                     for (i2, u2), o2 in offj.items():
                         if u1 + u2 > 2:
@@ -668,7 +660,7 @@ def fixture_product_with_p1(datum):
         rings[s] = nr
         # trace: t(x (x) fiber point class) = t(x)
         tv = [Q(0)] * dims[new_top]
-        offt = offsets(new_top)
+        offt = _kunneth_blocks(r, new_top)
         if (r.top, 2) in offt:
             o = offt[(r.top, 2)]
             for a, c in enumerate(datum.traces[s]):
@@ -676,7 +668,7 @@ def fixture_product_with_p1(datum):
         traces[s] = tv
         # ample: l (x) 1 + 1 (x) h
         av = [Q(0)] * dims[2]
-        off2 = offsets(2)
+        off2 = _kunneth_blocks(r, 2)
         if (2, 0) in off2:
             for a, c in enumerate(datum.ample[s]):
                 av[off2[(2, 0)] + a] = c
@@ -685,55 +677,12 @@ def fixture_product_with_p1(datum):
                 av[off2[(0, 2)] + a] += c
         ample[s] = av
     for (s, t), mats in datum.restrictions.items():
-        new = {}
-        rs, rt = datum.rings[s], datum.rings[t]
-        ds = datum.stratum_dim(s)
-        for k in range(0, 2 * (datum.stratum_dim(t) + 1) + 1):
-            rows = rings[t].dim(k)
-            cols = rings[s].dim(k)
-            m = Matrix.zero(rows, cols)
-            for u in (0, 2):
-                i = k - u
-                if i < 0:
-                    continue
-                base = mats.get(i)
-                if base is None or base.rows == 0 or base.cols == 0:
-                    continue
-                so = _kunneth_offset(rs, i, u)
-                to = _kunneth_offset(rt, i, u)
-                if so is None or to is None:
-                    continue
-                for rr_ in range(base.rows):
-                    for cc in range(base.cols):
-                        if base.a[rr_][cc] != 0:
-                            m.a[to + rr_][so + cc] = base.a[rr_][cc]
-            new[k] = m
-        restrictions[(s, t)] = new
+        restrictions[(s, t)] = _kunneth_lift(
+            mats, datum.rings[s], datum.rings[t], rings[s], rings[t], 0)
     for (s, nu), mats in datum.gysin.items():
-        new = {}
         t = s | {nu}
-        rs, rt = datum.rings[s], datum.rings[t]
-        for k in range(0, 2 * (datum.stratum_dim(t) + 1) + 1):
-            rows = rings[s].dim(k + 2)
-            cols = rings[t].dim(k)
-            m = Matrix.zero(rows, cols)
-            for u in (0, 2):
-                i = k - u
-                if i < 0:
-                    continue
-                base = mats.get(i)
-                if base is None or base.rows == 0 or base.cols == 0:
-                    continue
-                so = _kunneth_offset(rt, i, u)
-                to = _kunneth_offset(rs, i + 2, u)
-                if so is None or to is None:
-                    continue
-                for rr_ in range(base.rows):
-                    for cc in range(base.cols):
-                        if base.a[rr_][cc] != 0:
-                            m.a[to + rr_][so + cc] = base.a[rr_][cc]
-            new[k] = m
-        gysin[(s, nu)] = new
+        gysin[(s, nu)] = _kunneth_lift(
+            mats, datum.rings[t], datum.rings[s], rings[t], rings[s], 2)
     return StrataDatum(
         n=datum.n + 1, labels=list(datum.ix.labels),
         nerve=[set(s) for s in datum.nerve], rings=rings,
@@ -742,15 +691,36 @@ def fixture_product_with_p1(datum):
     )
 
 
-def _kunneth_offset(base_ring, i, u):
-    """Offset of the (i, u) block in degree i+u of ring (x) H(P^1);
-    the (k, 0) block precedes the (k-2, 2) block."""
-    if not (0 <= i <= base_ring.top) or base_ring.dim(i) == 0:
-        return None
-    if u == 0:
-        return 0
-    k = i + u
-    return base_ring.dim(k) if 0 <= k <= base_ring.top else 0
+def _kunneth_blocks(ring, k):
+    """Offsets of the blocks (i, u), i + u = k, u in {0, 2}, of degree k
+    in ring (x) H(P^1); the (k, 0) block precedes the (k-2, 2) block."""
+    out = {}
+    pos = 0
+    for u in (0, 2):
+        if ring.dim(k - u):
+            out[(k - u, u)] = pos
+            pos += ring.dim(k - u)
+    return out
+
+
+def _kunneth_lift(mats, base_src, base_tgt, src, tgt, shift):
+    """Lift the maps mats[i]: H^i(base_src) -> H^{i+shift}(base_tgt)
+    to the Künneth products src -> tgt with P^1, as the same block on
+    both fiber parts u = 0, 2, in every degree of the smaller stratum."""
+    new = {}
+    for k in range(min(src.top, tgt.top) + 1):
+        m = Matrix.zero(tgt.dim(k + shift), src.dim(k))
+        targets = _kunneth_blocks(base_tgt, k + shift)
+        for (i, u), so in _kunneth_blocks(base_src, k).items():
+            to = targets.get((i + shift, u))
+            if to is None or i not in mats:
+                continue
+            for r, row in enumerate(mats[i].a):
+                for c, x in enumerate(row):
+                    if x != 0:
+                        m.a[to + r][so + c] = x
+        new[k] = m
+    return new
 
 
 # JSON round trip
@@ -801,55 +771,113 @@ def load(path):
         return loads(fh.read())
 
 
+def _parsed(path, parse, *args):
+    """parse(*args), with a malformed value reported as a StrataError
+    that names its JSON path."""
+    try:
+        return parse(*args)
+    except ZeroDivisionError:
+        raise StrataError("%s: zero denominator" % path) from None
+    except (ValueError, TypeError, OverflowError) as e:
+        raise StrataError("%s: %s" % (path, e)) from None
+
+
+def _typed(kind, value):
+    if not isinstance(value, kind):
+        raise TypeError("expected a %s, got %s"
+                        % (kind.__name__, type(value).__name__))
+    return value
+
+
+def _split(key, sep):
+    parts = key.split(sep)
+    if len(parts) != 2:
+        raise ValueError("expected a key of the form a%sb" % sep)
+    return parts
+
+
+def _vector(value):
+    return [rat_from_str(x) for x in _typed(list, value)]
+
+
+def _table(value, cols):
+    return Matrix.from_json([_typed(list, r) for r in _typed(list, value)],
+                            cols)
+
+
+def _maps(path, mats, source):
+    """Per-degree maps {"deg": table} out of the ring `source`."""
+    out = {}
+    for deg, m in _parsed(path, _typed, dict, mats).items():
+        d = _parsed("%s/%s" % (path, deg), int, deg)
+        out[d] = _parsed("%s/%s" % (path, deg), _table, m, source.dim(d))
+    return out
+
+
 def loads(text):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise StrataError("invalid JSON: %s" % e)
     for field in ("n", "components", "strata"):
-        if field not in data:
+        if field not in _parsed("input", _typed, dict, data):
             raise StrataError("missing field %r" % field)
-    labels = data["components"]
-    labelset = set(labels)
+    n = _parsed("n", _typed, int, data["n"])
+    labels = _parsed("components", _typed, list, data["components"])
+    if not all(isinstance(x, str) for x in labels):
+        raise StrataError("components: expected a list of names")
     rings = {}
     traces = {}
     ample = {}
     nerve = []
-    for key, entry in data["strata"].items():
-        parts = key.split(",")
-        for p in parts:
-            if p not in labelset:
-                raise StrataError("strata/%s: unknown label %r"
-                                  % (key, p))
-        s = frozenset(parts)
+
+    def stratum(key):
+        s = frozenset(key.split(","))
+        if s not in rings:
+            raise ValueError("unknown stratum %r" % key)
+        return s
+
+    for key, entry in _parsed("strata", _typed, dict,
+                              data["strata"]).items():
+        path = "strata/" + key
+        for p in key.split(","):
+            if p not in labels:
+                raise StrataError("%s: unknown label %r" % (path, p))
+        s = frozenset(key.split(","))
         nerve.append(s)
         for field in ("dims", "products", "trace", "ample"):
-            if field not in entry:
-                raise StrataError("strata/%s/%s missing" % (key, field))
-        ring = rings[s] = Ring(entry["dims"], {})
-        for ij, m in entry["products"].items():
-            i, j = (int(x) for x in ij.split(","))
-            ring.mult[(i, j)] = Matrix.from_json(
-                m, cols=ring.dim(i) * ring.dim(j))
-        traces[s] = [rat_from_str(x) for x in entry["trace"]]
-        ample[s] = [rat_from_str(x) for x in entry["ample"]]
+            if field not in _parsed(path, _typed, dict, entry):
+                raise StrataError("%s/%s missing" % (path, field))
+        dims = _parsed(path + "/dims", _typed, list, entry["dims"])
+        if any(type(d) is not int or d < 0 for d in dims):
+            raise StrataError("%s/dims: expected counts" % path)
+        ring = rings[s] = Ring(dims, {})
+        for ij, m in _parsed(path + "/products", _typed, dict,
+                             entry["products"]).items():
+            where = "%s/products/%s" % (path, ij)
+            i, j = (_parsed(where, int, x)
+                    for x in _parsed(where, _split, ij, ","))
+            ring.mult[(i, j)] = _parsed(where, _table, m,
+                                        ring.dim(i) * ring.dim(j))
+        traces[s] = _parsed(path + "/trace", _vector, entry["trace"])
+        ample[s] = _parsed(path + "/ample", _vector, entry["ample"])
     restrictions = {}
-    for key, mats in data.get("restrictions", {}).items():
-        a, b = key.split("|")
-        s, t = frozenset(a.split(",")), frozenset(b.split(","))
-        restrictions[(s, t)] = {
-            int(deg): Matrix.from_json(m, cols=rings[s].dim(int(deg)))
-            for deg, m in mats.items()}
+    for key, mats in _parsed("restrictions", _typed, dict,
+                             data.get("restrictions", {})).items():
+        path = "restrictions/" + key
+        a, b = _parsed(path, _split, key, "|")
+        s, t = _parsed(path, stratum, a), _parsed(path, stratum, b)
+        restrictions[(s, t)] = _maps(path, mats, rings[s])
     gysin = {}
-    for key, mats in data.get("gysin", {}).items():
-        a, nu = key.split("|")
-        s = frozenset(a.split(","))
-        gysin[(s, nu)] = {
-            int(deg): Matrix.from_json(
-                m, cols=rings[s | {nu}].dim(int(deg)))
-            for deg, m in mats.items()}
+    for key, mats in _parsed("gysin", _typed, dict,
+                             data.get("gysin", {})).items():
+        path = "gysin/" + key
+        a, nu = _parsed(path, _split, key, "|")
+        s = _parsed(path, stratum, a)
+        t = _parsed(path, stratum, a + "," + nu)
+        gysin[(s, nu)] = _maps(path, mats, rings[t])
     return StrataDatum(
-        n=data["n"], labels=labels, nerve=nerve, rings=rings,
+        n=n, labels=labels, nerve=nerve, rings=rings,
         restrictions=restrictions, gysin=gysin, traces=traces,
         ample=ample, hodge_tate=data.get("hodge_tate", True),
     )

@@ -104,22 +104,34 @@ def test_dump_includes_matrices(tmp_path):
     assert "pairing" in result and "N" in result
 
 
-def test_reports_deterministic_across_thread_env(tmp_path):
-    path = write_cycle3(tmp_path)
-    texts = []
-    for threads in ("1", "8", "junk"):
-        os.environ["LIMHODGE_THREADS"] = threads
-        try:
-            blobs = []
-            for command in ("validate", "e1", "e2", "mhs", "polarize",
-                            "compare"):
-                _, result = run(RunConfig(command, path=path,
-                                          page="both"))
-                blobs.append(report_render(result, "json"))
-            texts.append("".join(blobs))
-        finally:
-            del os.environ["LIMHODGE_THREADS"]
-    assert texts[0] == texts[1] == texts[2]
+def _run_python(flags, args, tmp_path):
+    """Run `python [flags] args` on this source tree."""
+    src = os.path.dirname(os.path.dirname(strata.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable] + flags + args, cwd=tmp_path,
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_reports_identical_under_optimize(tmp_path):
+    """`python -O` strips asserts; no report may depend on one."""
+    strata.save(strata.fixture_cycle_of_p1(3), tmp_path / "cycle3.json")
+    strata.save(strata.fixture_product_with_p1(
+        strata.fixture_cycle_of_p1(3)), tmp_path / "cycle3xp1.json")
+    script = (
+        "from limhodge.cli import main\n"
+        "for path in ('cycle3.json', 'cycle3xp1.json'):\n"
+        "    for command in ('validate', 'e1', 'e2', 'mhs', 'polarize',\n"
+        "                    'compare'):\n"
+        "        page = ['--page', 'both'] if command[0] == 'e' else []\n"
+        "        print(main([command, path, '--format', 'json'] + page))\n")
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = _run_python(flags, ["-c", script], tmp_path)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"command"') == 12
 
 
 def test_fixture_kinds(tmp_path):
@@ -145,17 +157,69 @@ def test_misshaped_product_table_exits_1(tmp_path, flags):
     datum = strata.fixture_product_with_p1(strata.fixture_cycle_of_p1(3))
     data = json.loads(strata.dumps(datum))
     row = data["strata"]["C0"]["products"]["2,2"][0]
-    src = os.path.dirname(os.path.dirname(strata.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     for bad, got in ((row[:-1], "1x3"), (row + ["0"], "1x5")):
         data["strata"]["C0"]["products"]["2,2"] = [bad]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        proc = subprocess.run(
-            [sys.executable] + flags + ["-m", "limhodge.cli", "validate",
-                                        str(path)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_python(flags, ["-m", "limhodge.cli", "validate",
+                                   str(path)], tmp_path)
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert ("strata/C0/products/2,2: expected 1x4, got %s" % got
                 in proc.stdout)
         assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def _set(keys, value):
+    def mutate(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return mutate
+
+
+def _rename_gysin(data):
+    data["gysin"]["C0C1"] = data["gysin"].pop("C0|C1")
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (_set(["strata", "C0", "products", "0,0"], [["x"]]),
+     "strata/C0/products/0,0: "),
+    (_set(["strata", "C0", "trace"], ["1/0"]), "strata/C0/trace: "),
+    (_set(["strata", "C0", "dims"], 3), "strata/C0/dims: "),
+    (_set(["restrictions", "C0|Z9"], {"0": [["1"]]}),
+     "restrictions/C0|Z9: "),
+    (_rename_gysin, "gysin/C0C1: "),
+], ids=["bad-rational", "zero-denominator", "dims-not-a-list",
+        "unknown-stratum", "gysin-key-without-bar"])
+def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
+    data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(3)))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["-O"]):
+        for command in ("validate", "mhs"):
+            proc = _run_python(flags, ["-m", "limhodge.cli", command,
+                                       str(path)], tmp_path)
+            assert proc.returncode == 1, proc.stdout + proc.stderr
+            assert proc.stdout.startswith("error: " + where), proc.stdout
+            assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_d1_squared_failure_is_reported_not_raised(tmp_path):
+    """A datum with d1∘d1 != 0 on the K page: `compare` lists the
+    failures, each with its witness, and exits 2, also under -O."""
+    datum = strata.fixture_product_with_p1(strata.fixture_cycle_of_p1(3))
+    key = next(iter(datum.restrictions))
+    datum.restrictions[key] = {deg: m.scale(2) for deg, m
+                               in datum.restrictions[key].items()}
+    strata.save(datum, tmp_path / "d2.json")
+    for flags in ([], ["-O"]):
+        proc = _run_python(flags, ["-m", "limhodge.cli", "compare",
+                                   "d2.json", "--format", "json"],
+                           tmp_path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        failed = [c for c in json.loads(proc.stdout)["checks"]
+                  if not c["ok"]]
+        assert [c["check"] for c in failed].count("d1-squared-K") == 10
+        assert all(c["witness"] for c in failed), failed

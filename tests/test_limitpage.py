@@ -5,12 +5,11 @@ import pytest
 from limhodge.exactlin import Matrix, rank
 from limhodge.strata import (
     StrataDatum, fixture_projective_space, fixture_cycle_of_p1,
-    fixture_product_with_p1,
+    fixture_product_with_p1, all_checks_pass,
 )
 from limhodge.limitpage import (
-    eps, build_e1_A, build_e1_K, operator_N, operator_l, phi_e1,
-    trace_theta, trace_tr, compute_limit, pairing, verify_polarized,
-    compare_pages, all_ok, pairing_descent_defect,
+    eps, build_e1_A, build_e1_K, phi_e1, trace_theta, compute_limit,
+    pairing, verify_polarized, compare_pages, pairing_descent_defect,
 )
 
 
@@ -83,8 +82,8 @@ def test_d1_squared_and_summand_twists():
 def test_operators_commute_with_d1():
     for datum in fixtures():
         for page in (build_e1_A(datum), build_e1_K(datum)):
-            nmats = operator_N(page)
-            lmats = operator_l(page, datum)
+            nmats = {c: page.n_mat(*c) for c in page.cell_keys()}
+            lmats = {c: page.l_mat(*c) for c in page.cell_keys()}
             for (m, q) in page.cell_keys():
                 lhs = page.n_mat(m - 1, q + 1) * page.d1(m, q)
                 rhs = page.d1(m - 2, q) * nmats[(m, q)]
@@ -102,12 +101,12 @@ def test_operators_commute_with_d1():
 def test_compare_pages_all_fixtures():
     for datum in fixtures():
         report, _ = compare_pages(datum)
-        assert all_ok(report), [r for r in report if not r["ok"]]
+        assert all_checks_pass(report), [r for r in report if not r["ok"]]
 
 
 def test_cycle3_e2_cell_dims_both_pages():
     report, dims = compare_pages(cycle3())
-    assert all_ok(report)
+    assert all_checks_pass(report)
     nonzero = {cell: d for cell, d in dims.items() if d != (0, 0)}
     assert nonzero == {(0, 0): (1, 1), (-1, 1): (1, 1),
                        (1, 1): (1, 1), (0, 2): (1, 1)}
@@ -115,7 +114,7 @@ def test_cycle3_e2_cell_dims_both_pages():
 
 def test_phi_kills_nothing_on_p1():
     datum = fixture_projective_space(1)
-    phi = phi_e1(datum)
+    phi = phi_e1(build_e1_A(datum), build_e1_K(datum))
     for (m, q) in phi.page_a.cell_keys():
         comp = phi.comp(m, q)
         assert rank(comp) == phi.page_a.dim(m, q)
@@ -134,7 +133,7 @@ def test_theta_kills_d1():
 def test_trace_of_point_class():
     for n in (1, 2):
         lim = compute_limit(fixture_projective_space(n))
-        tr = trace_tr(lim)
+        tr = lim.tr
         # H^{2n} is one-dimensional; the point class generates it
         v = lim.proj(0, 2 * n).matvec([Q(1)])
         assert sum(a * b for a, b in zip(tr.row(0), v)) == 1
@@ -146,7 +145,7 @@ def test_cycle3_trace_identifies_components():
     one_first = proj.matvec([Q(1), Q(0), Q(0)])
     one_second = proj.matvec([Q(0), Q(1), Q(0)])
     assert one_first == one_second  # equal modulo d1
-    tr = trace_tr(lim)
+    tr = lim.tr
     assert sum(a * b for a, b in zip(tr.row(0), one_first)) == 1
 
 
@@ -303,4 +302,4 @@ def test_relabeling_invariance():
     assert lim.weights == {0: {0: 1}, 1: {0: 1, 2: 1}, 2: {2: 1}}
     assert all(r["ok"] for r in verify_polarized(lim))
     report, _ = compare_pages(datum)
-    assert all_ok(report)
+    assert all_checks_pass(report)
