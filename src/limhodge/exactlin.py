@@ -1,7 +1,9 @@
 """Exact rational linear algebra: dense matrices over Q, echelon forms,
 kernels, quotients, and exact positive definiteness.
 
-All arithmetic uses fractions.Fraction; no floating point anywhere.
+All elimination runs through one engine, `Echelon`, an incremental
+reduced row basis. All arithmetic uses fractions.Fraction; no floating
+point anywhere.
 """
 
 from fractions import Fraction
@@ -127,7 +129,9 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            assert self.cols == other.rows, (self.cols, other.rows)
+            if self.cols != other.rows:
+                raise ConsistencyError("%dx%d times %dx%d matrix" % (
+                    self.rows, self.cols, other.rows, other.cols))
             other_nz = [[(j, v) for j, v in enumerate(row) if v != 0]
                         for row in other.a]
             zero = Q(0)
@@ -216,44 +220,69 @@ def vstack(blocks):
                             cols=cols)
 
 
-def rref(m):
-    """Reduced row echelon form with first-nonzero pivoting.
+class Echelon:
+    """The one elimination engine: a growing basis of a row space, kept
+    reduced. Rows stay in the order they were added; each is 0 before
+    its pivot, 1 at it and 0 at every other row's pivot, so in pivot
+    order they are the unique RREF of their span."""
 
-    Returns (R, pivots) with pivots the tuple of pivot column indices.
-    Fully deterministic: in each column the first nonzero row (in order)
-    becomes the pivot.
-    """
-    a = [list(row) for row in m.a]
-    n_rows, n_cols = m.rows, m.cols
-    pivots = []
-    piv_r = 0
-    for piv_c in range(n_cols):
-        for i_row in range(piv_r, n_rows):
-            if a[i_row][piv_c] != 0:
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows=()):
+        self.rows = []
+        self.pivots = []
+        for v in rows:
+            self.add(v)
+
+    def residual(self, v):
+        """v minus its component in the span: 0 at every pivot, and 0
+        everywhere exactly when v lies in the span."""
+        w = [Q(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            f = w[p]
+            if f:
+                w = [x - f * y for x, y in zip(w, row)]
+        return w
+
+    def add(self, v):
+        """Add v to the span. Returns the first nonzero entry of its
+        residual (the new pivot value before scaling), or 0 if v is
+        already in the span."""
+        w = self.residual(v)
+        for p, f in enumerate(w):
+            if f:
                 break
         else:
-            continue
-        if i_row != piv_r:
-            a[piv_r], a[i_row] = a[i_row], a[piv_r]
-        fp = a[piv_r][piv_c]
-        if fp != 1:
-            a[piv_r] = [x / fp for x in a[piv_r]]
-        for r in range(n_rows):
-            if r == piv_r:
-                continue
-            fr = a[r][piv_c]
-            if fr == 0:
-                continue
-            a[r] = [x - y * fr for x, y in zip(a[r], a[piv_r])]
-        pivots.append(piv_c)
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    return Matrix._raw(n_rows, n_cols, a), tuple(pivots)
+            return Q(0)
+        if f != 1:
+            w = [x / f for x in w]
+        for i, row in enumerate(self.rows):
+            g = row[p]
+            if g:
+                self.rows[i] = [x - g * y for x, y in zip(row, w)]
+        self.rows.append(w)
+        self.pivots.append(p)
+        return f
+
+    def reduced(self):
+        """Put the rows in pivot order and return (rows, pivots): the
+        RREF basis of the span."""
+        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
+        self.rows = [self.rows[i] for i in order]
+        self.pivots = [self.pivots[i] for i in order]
+        return self.rows, self.pivots
+
+
+def rref(m):
+    """Reduced row echelon form: (R, pivots) with R the m.rows x m.cols
+    RREF (zero rows last) and pivots the tuple of pivot columns."""
+    rows, pivots = Echelon(m.a).reduced()
+    zeros = [[Q(0)] * m.cols for _ in range(m.rows - len(rows))]
+    return Matrix._raw(m.rows, m.cols, rows + zeros), tuple(pivots)
 
 
 def rank(m):
-    return len(rref(m)[1])
+    return len(Echelon(m.a).pivots)
 
 
 class Subspace:
@@ -263,15 +292,17 @@ class Subspace:
     matrices.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_echelon")
 
     def __init__(self, ambient_dim, basis_rows):
+        for i, row in enumerate(basis_rows):
+            if len(row) != ambient_dim:
+                raise ConsistencyError("Subspace: row %d has length %d "
+                                       "in Q^%d" % (i, len(row), ambient_dim))
         self.ambient_dim = ambient_dim
-        m = Matrix.from_rows(basis_rows, cols=ambient_dim)
-        assert m.cols == ambient_dim
-        r, piv = rref(m)
-        self.basis = Matrix.from_rows(r.to_lists()[:len(piv)],
-                                      cols=ambient_dim)
+        self._echelon = Echelon(basis_rows)
+        rows, _ = self._echelon.reduced()
+        self.basis = Matrix._raw(len(rows), ambient_dim, rows)
 
     @classmethod
     def full(cls, n):
@@ -296,21 +327,18 @@ class Subspace:
 
     def contains_vector(self, v):
         assert len(v) == self.ambient_dim
-        m = Matrix.from_rows(self.basis.to_lists() + [[Q(x) for x in v]],
-                             cols=self.ambient_dim)
-        return rank(m) == self.dim
+        return not any(self._echelon.residual(v))
 
     def contains(self, other):
         assert self.ambient_dim == other.ambient_dim
-        m = Matrix.from_rows(self.basis.to_lists() + other.basis.to_lists(),
-                             cols=self.ambient_dim)
-        return rank(m) == self.dim
+        return not any(any(self._echelon.residual(row))
+                       for row in other.basis.a)
 
     def coords(self, v):
         """Coefficients of v in the RREF basis; error if v not in self."""
-        c = solve(self.basis.transpose(), v)
-        assert c is not None, "vector not in subspace"
-        return c
+        if not self.contains_vector(v):
+            raise ConsistencyError("vector not in subspace")
+        return [Q(v[p]) for p in self._echelon.pivots]
 
     def sum(self, other):
         assert self.ambient_dim == other.ambient_dim
@@ -318,18 +346,7 @@ class Subspace:
                         self.basis.to_lists() + other.basis.to_lists())
 
     def intersect(self, other):
-        assert self.ambient_dim == other.ambient_dim
-        # x = a·B1 = b·B2: solve [B1ᵀ | −B2ᵀ] nullspace.
-        b1t = self.basis.transpose()
-        b2t = other.basis.transpose()
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        k = kernel(hstack([b1t, -b2t]))
-        rows = []
-        for krow in k.basis.to_lists():
-            a_part = krow[:self.dim]
-            rows.append(self.basis.transpose().matvec(a_part))
-        return Subspace(self.ambient_dim, rows)
+        return self.preimage_under(Matrix.identity(self.ambient_dim), other)
 
     def image_under(self, m):
         """Image of this subspace under the linear map with matrix m."""
@@ -340,21 +357,11 @@ class Subspace:
         """{x : m·x ∈ target} intersected with self."""
         assert m.cols == self.ambient_dim
         assert m.rows == target.ambient_dim
-        # Solve over self's coordinates: m·B1ᵀ·a ∈ target.
-        comp = m * self.basis.transpose()
-        if target.dim == 0:
-            k = kernel(comp)
-            rows = [self.basis.transpose().matvec(a)
-                    for a in k.basis.to_lists()]
-            return Subspace(self.ambient_dim, rows)
-        # comp·a = B2ᵀ·b for some b.
-        big = hstack([comp, -target.basis.transpose()])
-        k = kernel(big)
-        rows = []
-        for krow in k.basis.to_lists():
-            a = krow[:self.dim]
-            rows.append(self.basis.transpose().matvec(a))
-        return Subspace(self.ambient_dim, rows)
+        # Solve over self's coordinates: m·B1ᵀ·a = B2ᵀ·b for some b.
+        b1t = self.basis.transpose()
+        k = kernel(hstack([m * b1t, -target.basis.transpose()]))
+        return Subspace(self.ambient_dim,
+                        [b1t.matvec(krow[:self.dim]) for krow in k.basis.a])
 
 
 def kernel(m):
@@ -401,27 +408,10 @@ def quotient(sub, by):
         raise ValueError("not a subspace")
     n = sub.ambient_dim
     b_rows = by.basis.to_lists()
-    # Complete by-basis to a basis of sub.
-    c_rows = []
-    cur = Matrix.from_rows(b_rows, cols=n)
-    cur_rank = by.dim
-    for row in sub.basis.to_lists():
-        cand = Matrix.from_rows(cur.to_lists() + [row], cols=n)
-        if rank(cand) > cur_rank:
-            c_rows.append(row)
-            cur = cand
-            cur_rank += 1
-    # Complete to a basis of the ambient space.
-    d_rows = []
-    for j in range(n):
-        e = [Q(0)] * n
-        e[j] = Q(1)
-        cand = Matrix.from_rows(cur.to_lists() + [e], cols=n)
-        if rank(cand) > cur_rank:
-            d_rows.append(e)
-            cur = cand
-            cur_rank += 1
-    assert cur_rank == n
+    # Complete the by-basis to a basis of sub, then of the ambient space.
+    ech = Echelon(b_rows)
+    c_rows = [row for row in sub.basis.to_lists() if ech.add(row)]
+    d_rows = [e for e in Matrix.identity(n).to_lists() if ech.add(e)]
     q = len(c_rows)
     # Change of basis: columns of M are the basis vectors b, c, d.
     m_basis = Matrix.from_rows(b_rows + c_rows + d_rows, cols=n).transpose()
@@ -429,23 +419,27 @@ def quotient(sub, by):
     # Projection picks the c-coordinates.
     proj = Matrix.from_rows(m_inv.to_lists()[by.dim:by.dim + q], cols=n)
     section = Matrix.from_rows(c_rows, cols=n).transpose()
-    assert (proj * section) == Matrix.identity(q)
+    if proj * section != Matrix.identity(q):
+        raise ConsistencyError("quotient: projection∘section is not 1")
     return q, proj, section
 
 
 def inverse(m):
-    assert m.rows == m.cols
+    if m.rows != m.cols:
+        raise ConsistencyError("inverse: %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
     r, pivots = rref(hstack([m, Matrix.identity(n)]))
-    assert pivots == tuple(range(n)), "matrix not invertible"
+    if pivots != tuple(range(n)):
+        raise ConsistencyError("inverse: matrix not invertible")
     return Matrix.from_rows([row[n:] for row in r.to_lists()], cols=n)
 
 
 def is_positive_definite(sym):
     """Exact positive definiteness of a rational symmetric matrix.
 
-    Decided by LDL pivots all > 0, cross-checked by Sylvester leading
-    principal minors when nonsingular.
+    Its rows go into an Echelon in order: positive definite iff row k
+    takes pivot k with a value > 0, the value being the Schur complement
+    D_k/D_{k-1}. A positive verdict is cross-checked by Sylvester, D_k > 0.
     """
     if sym.rows != sym.cols:
         raise ValueError("matrix not square")
@@ -454,48 +448,29 @@ def is_positive_definite(sym):
         for j in range(i + 1, n):
             if sym.a[i][j] != sym.a[j][i]:
                 raise ValueError("matrix not symmetric")
-    if n == 0:
-        return True
-    # LDL without pivoting: positive definite iff every leading pivot > 0.
-    a = [list(row) for row in sym.a]
-    pivots_ok = True
-    for k in range(n):
-        p = a[k][k]
-        if p <= 0:
-            pivots_ok = False
-            break
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    if pivots_ok:
-        # Cross-check via Sylvester: all leading principal minors > 0.
-        for k in range(1, n + 1):
-            mk = Matrix.from_rows([row[:k] for row in sym.to_lists()[:k]],
-                                  cols=k)
-            assert determinant(mk) > 0
-    return pivots_ok
+    ech = Echelon()
+    for k, row in enumerate(sym.a):
+        if ech.add(row) <= 0 or ech.pivots[k] != k:
+            return False
+    for k in range(1, n + 1):
+        minor = Matrix._raw(k, k, [row[:k] for row in sym.a[:k]])
+        if determinant(minor) <= 0:
+            raise ConsistencyError("Sylvester: leading minor %d is not "
+                                   "positive" % k)
+    return True
 
 
 def determinant(m):
+    """The product of the pivot values of the rows, added in order to
+    an Echelon, times the sign of the order the pivots arrived in."""
     assert m.rows == m.cols
-    n = m.rows
-    a = [list(row) for row in m.a]
+    ech = Echelon()
     det = Q(1)
-    for c in range(n):
-        for r in range(c, n):
-            if a[r][c] != 0:
-                break
-        else:
+    for row in m.a:
+        f = ech.add(row)
+        if not f:
             return Q(0)
-        if r != c:
-            a[c], a[r] = a[r], a[c]
-            det = -det
-        det *= a[c][c]
-        p = a[c][c]
-        for r2 in range(c + 1, n):
-            f = a[r2][c] / p
-            if f == 0:
-                continue
-            a[r2] = [x - f * y for x, y in zip(a[r2], a[c])]
-    return det
+        det *= f
+    piv = ech.pivots
+    inversions = sum(p > q for i, p in enumerate(piv) for q in piv[i + 1:])
+    return -det if inversions % 2 else det

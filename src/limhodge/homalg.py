@@ -371,11 +371,12 @@ def check_exact(f, g):
     hi = max(k.hi, l.hi, m.hi)
     for p in range(lo, hi + 1):
         fp, gp = f.comp(p), g.comp(p)
-        if rank(fp) != k.dim(p):
+        rank_f, rank_g = rank(fp), rank(gp)
+        if rank_f != k.dim(p):
             raise ValueError("not exact: f not injective at degree %d" % p)
-        if rank(gp) != m.dim(p):
+        if rank_g != m.dim(p):
             raise ValueError("not exact: g not surjective at degree %d" % p)
-        if not (gp * fp).is_zero() or rank(fp) + rank(gp) != l.dim(p):
+        if not (gp * fp).is_zero() or rank_f + rank_g != l.dim(p):
             raise ValueError("not exact: im f != ker g at degree %d" % p)
 
 

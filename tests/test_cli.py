@@ -134,6 +134,26 @@ def test_reports_identical_under_optimize(tmp_path):
     assert outputs[0].count('"command"') == 12
 
 
+def test_exactlin_consistency_errors_under_optimize(tmp_path):
+    """Three wrong answers that only an `assert` stopped before: each
+    must raise ConsistencyError (exit 2 in the CLI) under `python -O`."""
+    script = (
+        "import sys\n"
+        "from limhodge.exactlin import ConsistencyError, Matrix, Subspace, "
+        "inverse\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "for case in (lambda: Matrix(2, 2) * Matrix(3, 1),\n"
+        "             lambda: inverse(Matrix(2, 2, [[1, 1], [1, 1]])),\n"
+        "             lambda: Subspace(2, [[1, 0]]).coords([0, 1])):\n"
+        "    try:\n"
+        "        print('returned', case())\n"
+        "    except ConsistencyError:\n"
+        "        print('raised')\n")
+    proc = _run_python(["-O"], ["-c", script], tmp_path)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    assert proc.stdout.split("\n") == ["optimize 1"] + ["raised"] * 3 + [""]
+
+
 def test_fixture_kinds(tmp_path):
     for argv, name in (
             (["fixture", "projective", "--dim", "2"], "p2.json"),

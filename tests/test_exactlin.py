@@ -218,3 +218,238 @@ def test_subspace_operations():
     assert u.image_under(m).dim == 1
     pre = Subspace.full(3).preimage_under(m, Subspace.zero(2))
     assert pre.dim == 2
+
+
+# The dense eliminations exactlin used before its one Echelon engine,
+# kept as references: every result must match them exactly.
+
+def ref_rref(m):
+    """Dense Gauss-Jordan, first nonzero row of each column as pivot."""
+    a = [list(row) for row in m.a]
+    n_rows, n_cols = m.rows, m.cols
+    pivots = []
+    piv_r = 0
+    for piv_c in range(n_cols):
+        for i_row in range(piv_r, n_rows):
+            if a[i_row][piv_c] != 0:
+                break
+        else:
+            continue
+        if i_row != piv_r:
+            a[piv_r], a[i_row] = a[i_row], a[piv_r]
+        fp = a[piv_r][piv_c]
+        if fp != 1:
+            a[piv_r] = [x / fp for x in a[piv_r]]
+        for r in range(n_rows):
+            if r == piv_r:
+                continue
+            fr = a[r][piv_c]
+            if fr == 0:
+                continue
+            a[r] = [x - y * fr for x, y in zip(a[r], a[piv_r])]
+        pivots.append(piv_c)
+        piv_r += 1
+        if piv_r == n_rows:
+            break
+    return a, tuple(pivots)
+
+
+def ref_rank(rows, n):
+    return len(ref_rref(Matrix(len(rows), n, rows))[1])
+
+
+def ref_basis(rows, n):
+    """RREF basis rows of the span of rows in Q^n."""
+    a, piv = ref_rref(Matrix(len(rows), n, rows))
+    return a[:len(piv)]
+
+
+def ref_kernel(m):
+    a, pivots = ref_rref(m)
+    rows = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Q(0)] * m.cols
+        v[fc] = Q(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        rows.append(v)
+    return ref_basis(rows, m.cols)
+
+
+def ref_determinant(m):
+    """Gaussian elimination with row swaps."""
+    n = m.rows
+    a = [list(row) for row in m.a]
+    det = Q(1)
+    for c in range(n):
+        for r in range(c, n):
+            if a[r][c] != 0:
+                break
+        else:
+            return Q(0)
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        p = a[c][c]
+        for r2 in range(c + 1, n):
+            f = a[r2][c] / p
+            if f == 0:
+                continue
+            a[r2] = [x - f * y for x, y in zip(a[r2], a[c])]
+    return det
+
+
+def ref_positive_definite(sym):
+    """LDL without pivoting: positive definite iff every pivot > 0."""
+    n = sym.rows
+    a = [list(row) for row in sym.a]
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def ref_quotient(sub, by):
+    """Basis completion by one rank computation per candidate row."""
+    n = sub.ambient_dim
+    cur = by.basis.to_lists()
+    c_rows, d_rows = [], []
+    for candidates, picked in ((sub.basis.to_lists(), c_rows),
+                               (Matrix.identity(n).to_lists(), d_rows)):
+        for row in candidates:
+            if ref_rank(cur + [row], n) > len(cur):
+                picked.append(row)
+                cur = cur + [row]
+    q = len(c_rows)
+    m_basis = Matrix(n, n, cur).transpose()
+    a, _ = ref_rref(hstack([m_basis, Matrix.identity(n)]))
+    m_inv = [row[n:] for row in a]
+    proj = Matrix(q, n, m_inv[by.dim:by.dim + q])
+    section = Matrix(q, n, c_rows).transpose()
+    return q, proj, section
+
+
+def ref_preimage(sub, m, target):
+    """{x : m·x ∈ target} within sub, from the kernel of
+    [m·B1ᵀ | −B2ᵀ]; the intersection is the preimage under 1."""
+    b1t = sub.basis.transpose()
+    k = ref_kernel(hstack([m * b1t, -target.basis.transpose()]))
+    return ref_basis([b1t.matvec(row[:sub.dim]) for row in k],
+                     sub.ambient_dim)
+
+
+@st.composite
+def row_lists(draw, n, max_rows=4):
+    """Rows in Q^n, often dependent: 0 to 2 extra rows are
+    combinations of earlier ones."""
+    rows = draw(st.lists(st.lists(mixed_entries, min_size=n, max_size=n),
+                         max_size=max_rows))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        c = draw(rationals)
+        rows.append([Q(x) + c * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+def is_fraction_matrix(m):
+    return all(type(x) is Q for row in m.a for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_rref_and_rank_match_reference(c, data):
+    rows = data.draw(row_lists(c, max_rows=5))
+    m = Matrix(len(rows), c, rows)
+    r, piv = rref(m)
+    ref_a, ref_piv = ref_rref(m)
+    assert (r.a, piv) == (ref_a, ref_piv)
+    assert is_fraction_matrix(r)
+    assert rank(m) == len(ref_piv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_determinant_matches_reference(n, data):
+    rows = data.draw(row_lists(n, max_rows=n).filter(lambda r: len(r) >= n))
+    m = Matrix(n, n, rows[:n])
+    det = determinant(m)
+    assert det == ref_determinant(m) and type(det) is Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_positive_definite_matches_reference(n, data):
+    b = Matrix(n, n, data.draw(st.lists(
+        st.lists(mixed_entries, min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    shift = data.draw(st.integers(-2, 2))
+    if data.draw(st.booleans()):
+        sym = b.transpose() * b + Matrix.identity(n).scale(shift)
+    else:
+        sym = b + b.transpose()
+    assert is_positive_definite(sym) == ref_positive_definite(sym)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_quotient_matches_reference(n, data):
+    r1, r2 = data.draw(row_lists(n)), data.draw(row_lists(n))
+    by = Subspace(n, r2)
+    for sub in (Subspace(n, r1 + r2), Subspace.full(n), by):
+        d, proj, section = quotient(sub, by)
+        ref_d, ref_proj, ref_section = ref_quotient(sub, by)
+        assert (d, proj, section) == (ref_d, ref_proj, ref_section)
+        assert is_fraction_matrix(proj) and is_fraction_matrix(section)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 4), st.data())
+def test_subspace_operations_match_reference(n, mr, data):
+    r1, r2 = data.draw(row_lists(n)), data.draw(row_lists(n))
+    u, v = Subspace(n, r1), Subspace(n, r2)
+    assert u.basis.to_lists() == ref_basis(r1, n)
+    assert u.intersect(v).basis.to_lists() == ref_preimage(
+        u, Matrix.identity(n), v)
+    assert u.contains(v) == (ref_rank(u.basis.to_lists()
+                                      + v.basis.to_lists(), n) == u.dim)
+    m = Matrix(mr, n, data.draw(st.lists(
+        st.lists(mixed_entries, min_size=n, max_size=n),
+        min_size=mr, max_size=mr)))
+    target = Subspace(mr, data.draw(row_lists(mr)))
+    assert (u.preimage_under(m, target).basis.to_lists()
+            == ref_preimage(u, m, target))
+    w = u.sum(v).basis.row(0) if u.sum(v).dim else [Q(0)] * n
+    assert u.contains_vector(w) == (ref_rank(u.basis.to_lists() + [w], n)
+                                    == u.dim)
+    if u.contains_vector(w):
+        coords = u.coords(w)
+        assert [sum((c * row[j] for c, row in zip(coords, u.basis.a)), Q(0))
+                for j in range(n)] == w
+
+
+def test_zero_dim_subspaces():
+    for n in (0, 1, 3):
+        zero, full = Subspace.zero(n), Subspace.full(n)
+        assert zero.intersect(full) == zero == full.intersect(zero)
+        assert full.contains(zero) and zero.contains(zero)
+        assert quotient(full, zero)[0] == n and quotient(zero, zero)[0] == 0
+        pre = full.preimage_under(Matrix(0, n), Subspace.zero(0))
+        assert pre == full
+
+
+def test_subspace_basis_is_fractions_for_int_rows():
+    s = Subspace(3, [[2, 4, 0], [1, 2, 1], [0, 0, 3]])
+    assert s.basis.to_lists() == [[1, 2, 0], [0, 0, 1]]
+    assert is_fraction_matrix(s.basis)
+
+
+def test_subspace_rejects_wrong_row_length():
+    for rows in ([[1, 0]], [[1, 0, 0], [1, 0, 0, 0]]):
+        with pytest.raises(ConsistencyError, match="length"):
+            Subspace(3, rows)
