@@ -2,10 +2,14 @@
 kernels, quotients, and exact positive definiteness.
 
 All elimination runs through one engine, `Echelon`, an incremental
-reduced row basis. All arithmetic uses fractions.Fraction; no floating
+reduced row basis with sparse rows: a row keeps only its nonzero
+entries, so a reduction step costs in the entries it touches, not in
+the width. `quotient` reads its projection off one such reduction and
+forms no inverse. All arithmetic uses fractions.Fraction; no floating
 point anywhere.
 """
 
+import operator
 from fractions import Fraction
 
 Q = Fraction
@@ -14,6 +18,12 @@ Q = Fraction
 class ConsistencyError(AssertionError):
     """A broken internal invariant, such as mismatched shapes. It is
     raised explicitly, so unlike `assert` it survives `python -O`."""
+
+
+def _require(ok, message, *args):
+    """Raise ConsistencyError(message % args) unless ok."""
+    if not ok:
+        raise ConsistencyError(message % args)
 
 
 def rat_to_str(x):
@@ -39,10 +49,10 @@ class Matrix:
         if entries is None:
             self.a = [[Q(0)] * cols for _ in range(rows)]
         else:
-            assert len(entries) == rows
+            _require(len(entries) == rows and all(
+                len(row) == cols for row in entries),
+                "Matrix: entries are not %dx%d", rows, cols)
             self.a = [[Q(x) for x in row] for row in entries]
-            for row in self.a:
-                assert len(row) == cols
 
     @classmethod
     def _raw(cls, rows, cols, a):
@@ -67,12 +77,9 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows_list, cols=None):
         if not rows_list:
-            assert cols is not None
+            _require(cols is not None, "Matrix.from_rows: no rows, no width")
             return cls(0, cols)
         return cls(len(rows_list), len(rows_list[0]), rows_list)
-
-    def copy(self):
-        return Matrix(self.rows, self.cols, self.a)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -97,27 +104,24 @@ class Matrix:
     def row(self, i):
         return list(self.a[i])
 
-    def col(self, j):
-        return [self.a[i][j] for i in range(self.rows)]
-
     def transpose(self):
         return Matrix._raw(self.cols, self.rows,
                            [[self.a[i][j] for i in range(self.rows)]
                             for j in range(self.cols)])
 
-    def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+    def _entrywise(self, other, op):
+        _require((self.rows, self.cols) == (other.rows, other.cols),
+                 "%dx%d and %dx%d matrix: shapes differ", self.rows, self.cols,
+                 other.rows, other.cols)
         return Matrix._raw(self.rows, self.cols,
-                           [[self.a[i][j] + other.a[i][j]
-                             for j in range(self.cols)]
-                            for i in range(self.rows)])
+                           [[op(x, y) for x, y in zip(r, s)]
+                            for r, s in zip(self.a, other.a)])
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix._raw(self.rows, self.cols,
-                           [[self.a[i][j] - other.a[i][j]
-                             for j in range(self.cols)]
-                            for i in range(self.rows)])
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return self.scale(-1)
@@ -129,9 +133,8 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ConsistencyError("%dx%d times %dx%d matrix" % (
-                    self.rows, self.cols, other.rows, other.cols))
+            _require(self.cols == other.rows, "%dx%d times %dx%d matrix",
+                     self.rows, self.cols, other.rows, other.cols)
             other_nz = [[(j, v) for j, v in enumerate(row) if v != 0]
                         for row in other.a]
             zero = Q(0)
@@ -150,10 +153,8 @@ class Matrix:
         return self.scale(c)
 
     def matvec(self, v):
-        if len(v) != self.cols:
-            raise ConsistencyError("matvec: vector of length %d for a "
-                                   "%dx%d matrix"
-                                   % (len(v), self.rows, self.cols))
+        _require(len(v) == self.cols, "matvec: vector of length %d for a "
+                 "%dx%d matrix", len(v), self.rows, self.cols)
         nz = [(j, Q(x)) for j, x in enumerate(v) if x != 0]
         out = []
         for row in self.a:
@@ -202,7 +203,8 @@ def block_diag(blocks):
 
 def hstack(blocks):
     rows = blocks[0].rows
-    assert all(b.rows == rows for b in blocks)
+    _require(all(b.rows == rows for b in blocks),
+             "hstack: blocks of different heights")
     m = Matrix(rows, sum(b.cols for b in blocks))
     j0 = 0
     for b in blocks:
@@ -215,74 +217,105 @@ def hstack(blocks):
 
 def vstack(blocks):
     cols = blocks[0].cols
-    assert all(b.cols == cols for b in blocks)
+    _require(all(b.cols == cols for b in blocks),
+             "vstack: blocks of different widths")
     return Matrix.from_rows([row for b in blocks for row in b.to_lists()],
                             cols=cols)
 
 
 class Echelon:
-    """The one elimination engine: a growing basis of a row space, kept
-    reduced. Rows stay in the order they were added; each is 0 before
-    its pivot, 1 at it and 0 at every other row's pivot, so in pivot
-    order they are the unique RREF of their span."""
+    """The one elimination engine: a growing basis of a row space in
+    Q^width, kept reduced. Each row is 0 before its pivot, 1 at it and
+    0 at every other row's pivot, so in pivot order the rows are the
+    unique RREF of their span.
 
-    __slots__ = ("rows", "pivots")
+    Rows are sparse: `rows` maps each pivot, in the order the rows came
+    in until `reduced` sorts them, to a dict of the row's nonzero
+    entries right of the pivot (the 1 at the pivot is implied). An
+    entry becomes a Fraction once, when its row enters."""
 
-    def __init__(self, rows=()):
-        self.rows = []
-        self.pivots = []
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width, rows=()):
+        self.width = width
+        self.rows = {}
         for v in rows:
             self.add(v)
 
     def residual(self, v):
-        """v minus its component in the span: 0 at every pivot, and 0
-        everywhere exactly when v lies in the span."""
-        w = [Q(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            if f:
-                w = [x - f * y for x, y in zip(w, row)]
+        """v minus its component in the span, as a dict of its nonzero
+        entries: none at a pivot, and none at all exactly when v lies in
+        the span. The rows are reduced, so v[p] is the factor of the row
+        of every pivot p."""
+        _require(len(v) == self.width, "Echelon: a row of length %d in Q^%d",
+                 len(v), self.width)
+        w = {j: x if type(x) is Q else Q(x) for j, x in enumerate(v) if x}
+        rows = self.rows
+        for p in [p for p in w if p in rows]:
+            _sub_scaled(w, w.pop(p), rows[p])
         return w
 
     def add(self, v):
         """Add v to the span. Returns the first nonzero entry of its
         residual (the new pivot value before scaling), or 0 if v is
         already in the span."""
-        w = self.residual(v)
-        for p, f in enumerate(w):
-            if f:
-                break
-        else:
+        return self.insert(self.residual(v))
+
+    def insert(self, w):
+        """`add` for a residual as `residual` returns it, which the
+        engine then owns."""
+        if not w:
             return Q(0)
+        p = min(w)
+        f = w.pop(p)
         if f != 1:
-            w = [x / f for x in w]
-        for i, row in enumerate(self.rows):
-            g = row[p]
-            if g:
-                self.rows[i] = [x - g * y for x, y in zip(row, w)]
-        self.rows.append(w)
-        self.pivots.append(p)
+            w = {j: x / f for j, x in w.items()}
+        for row in self.rows.values():
+            g = row.pop(p, None)
+            if g is not None:
+                _sub_scaled(row, g, w)
+        self.rows[p] = w
         return f
 
     def reduced(self):
-        """Put the rows in pivot order and return (rows, pivots): the
-        RREF basis of the span."""
-        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        return self.rows, self.pivots
+        """Sort the rows by pivot and return (rows, pivots): the RREF
+        basis of the span, as dense rows of Fractions."""
+        self.rows = dict(sorted(self.rows.items()))
+        zero, one = Q(0), Q(1)
+        dense = []
+        for p, row in self.rows.items():
+            d = [zero] * self.width
+            d[p] = one
+            for j, x in row.items():
+                d[j] = x
+            dense.append(d)
+        return dense, list(self.rows)
+
+
+def _sub_scaled(w, f, row):
+    """w -= f * row on sparse rows, dropping the entries that cancel."""
+    for j, y in row.items():
+        x = w.get(j)
+        if x is None:
+            w[j] = -f * y
+        else:
+            x -= f * y
+            if x:
+                w[j] = x
+            else:
+                del w[j]
 
 
 def rref(m):
     """Reduced row echelon form: (R, pivots) with R the m.rows x m.cols
     RREF (zero rows last) and pivots the tuple of pivot columns."""
-    rows, pivots = Echelon(m.a).reduced()
+    rows, pivots = Echelon(m.cols, m.a).reduced()
     zeros = [[Q(0)] * m.cols for _ in range(m.rows - len(rows))]
     return Matrix._raw(m.rows, m.cols, rows + zeros), tuple(pivots)
 
 
 def rank(m):
-    return len(Echelon(m.a).pivots)
+    return len(Echelon(m.cols, m.a).rows)
 
 
 class Subspace:
@@ -295,12 +328,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "_echelon")
 
     def __init__(self, ambient_dim, basis_rows):
-        for i, row in enumerate(basis_rows):
-            if len(row) != ambient_dim:
-                raise ConsistencyError("Subspace: row %d has length %d "
-                                       "in Q^%d" % (i, len(row), ambient_dim))
         self.ambient_dim = ambient_dim
-        self._echelon = Echelon(basis_rows)
+        self._echelon = Echelon(ambient_dim, basis_rows)
         rows, _ = self._echelon.reduced()
         self.basis = Matrix._raw(len(rows), ambient_dim, rows)
 
@@ -325,23 +354,25 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient_dim)
 
+    def _require_same_ambient(self, other):
+        _require(self.ambient_dim == other.ambient_dim,
+                 "subspaces of Q^%d and Q^%d", self.ambient_dim,
+                 other.ambient_dim)
+
     def contains_vector(self, v):
-        assert len(v) == self.ambient_dim
-        return not any(self._echelon.residual(v))
+        return not self._echelon.residual(v)
 
     def contains(self, other):
-        assert self.ambient_dim == other.ambient_dim
-        return not any(any(self._echelon.residual(row))
-                       for row in other.basis.a)
+        self._require_same_ambient(other)
+        return not any(self._echelon.residual(row) for row in other.basis.a)
 
     def coords(self, v):
         """Coefficients of v in the RREF basis; error if v not in self."""
-        if not self.contains_vector(v):
-            raise ConsistencyError("vector not in subspace")
-        return [Q(v[p]) for p in self._echelon.pivots]
+        _require(self.contains_vector(v), "vector not in subspace")
+        return [Q(v[p]) for p in self._echelon.rows]
 
     def sum(self, other):
-        assert self.ambient_dim == other.ambient_dim
+        self._require_same_ambient(other)
         return Subspace(self.ambient_dim,
                         self.basis.to_lists() + other.basis.to_lists())
 
@@ -350,13 +381,15 @@ class Subspace:
 
     def image_under(self, m):
         """Image of this subspace under the linear map with matrix m."""
-        assert m.cols == self.ambient_dim
+        _require(m.cols == self.ambient_dim, "image of Q^%d under a %dx%d "
+                 "matrix", self.ambient_dim, m.rows, m.cols)
         return Subspace(m.rows, [m.matvec(row) for row in self.basis.to_lists()])
 
     def preimage_under(self, m, target):
         """{x : m·x ∈ target} intersected with self."""
-        assert m.cols == self.ambient_dim
-        assert m.rows == target.ambient_dim
+        _require((m.rows, m.cols) == (target.ambient_dim, self.ambient_dim),
+                 "preimage in Q^%d of Q^%d under a %dx%d matrix",
+                 self.ambient_dim, target.ambient_dim, m.rows, m.cols)
         # Solve over self's coordinates: m·B1ᵀ·a = B2ᵀ·b for some b.
         b1t = self.basis.transpose()
         k = kernel(hstack([m * b1t, -target.basis.transpose()]))
@@ -385,7 +418,8 @@ def image(m):
 
 def solve(m, b):
     """One solution x of m·x = b, or None if inconsistent."""
-    assert m.rows == len(b)
+    _require(m.rows == len(b), "solve: %dx%d matrix, right side of "
+             "length %d", m.rows, m.cols, len(b))
     aug = hstack([m, Matrix(m.rows, 1, [[x] for x in b])])
     r, pivots = rref(aug)
     if m.cols in pivots:
@@ -402,35 +436,55 @@ def quotient(sub, by):
     Returns (dim, projection, section): projection is dim×ambient with
     kernel containing `by` (and equal to `by` within `sub`), section is
     ambient×dim with projection∘section = identity.
+
+    The by-basis b is completed by the rows c of sub's basis, then by
+    the unit vectors d, that extend the span. The projection, the
+    c-block of [b c d]⁻¹, sends b and d to 0 and c_i to e_i. So each
+    basis vector enters one Echelon followed by its image in q more
+    columns, and the rows reduce to (1 | projectionᵀ).
     """
-    assert sub.ambient_dim == by.ambient_dim
+    by._require_same_ambient(sub)
     if not sub.contains(by):
         raise ValueError("not a subspace")
     n = sub.ambient_dim
-    b_rows = by.basis.to_lists()
-    # Complete the by-basis to a basis of sub, then of the ambient space.
-    ech = Echelon(b_rows)
-    c_rows = [row for row in sub.basis.to_lists() if ech.add(row)]
-    d_rows = [e for e in Matrix.identity(n).to_lists() if ech.add(e)]
-    q = len(c_rows)
-    # Change of basis: columns of M are the basis vectors b, c, d.
-    m_basis = Matrix.from_rows(b_rows + c_rows + d_rows, cols=n).transpose()
-    m_inv = inverse(m_basis)
-    # Projection picks the c-coordinates.
-    proj = Matrix.from_rows(m_inv.to_lists()[by.dim:by.dim + q], cols=n)
-    section = Matrix.from_rows(c_rows, cols=n).transpose()
-    if proj * section != Matrix.identity(q):
-        raise ConsistencyError("quotient: projection∘section is not 1")
+    q = sub.dim - by.dim
+    zero = Q(0)
+    no_image = [zero] * q
+    ech = Echelon(n + q)
+
+    def extends(v, image):
+        """Add (v | image) if v is not in the span of the rows so far;
+        no pivot lies past column n, so the first n columns decide."""
+        w = ech.residual(v + image)
+        if min(w, default=n) >= n:
+            return False
+        ech.insert(w)
+        return True
+
+    for row in by.basis.a:
+        extends(row, no_image)
+    # Rows of sub after the q-th c do not extend the span; their image
+    # is 0.
+    images = Matrix.identity(q).a + [no_image]
+    c_rows = []
+    for row in sub.basis.a:
+        if extends(row, images[len(c_rows)]):
+            c_rows.append(row)
+    for e in Matrix.identity(n).a:
+        extends(e, no_image)
+    proj = Matrix._raw(q, n, [[ech.rows[p].get(n + i, zero) for p in range(n)]
+                              for i in range(q)])
+    section = Matrix._raw(q, n, c_rows).transpose()
+    _require(proj * section == Matrix.identity(q),
+             "quotient: projection∘section is not 1")
     return q, proj, section
 
 
 def inverse(m):
-    if m.rows != m.cols:
-        raise ConsistencyError("inverse: %dx%d matrix" % (m.rows, m.cols))
+    _require(m.rows == m.cols, "inverse: %dx%d matrix", m.rows, m.cols)
     n = m.rows
     r, pivots = rref(hstack([m, Matrix.identity(n)]))
-    if pivots != tuple(range(n)):
-        raise ConsistencyError("inverse: matrix not invertible")
+    _require(pivots == tuple(range(n)), "inverse: matrix not invertible")
     return Matrix.from_rows([row[n:] for row in r.to_lists()], cols=n)
 
 
@@ -448,29 +502,29 @@ def is_positive_definite(sym):
         for j in range(i + 1, n):
             if sym.a[i][j] != sym.a[j][i]:
                 raise ValueError("matrix not symmetric")
-    ech = Echelon()
+    ech = Echelon(n)
     for k, row in enumerate(sym.a):
-        if ech.add(row) <= 0 or ech.pivots[k] != k:
+        # Rows 0..k-1 took pivots 0..k-1; is k the pivot of row k?
+        if ech.add(row) <= 0 or k not in ech.rows:
             return False
     for k in range(1, n + 1):
         minor = Matrix._raw(k, k, [row[:k] for row in sym.a[:k]])
-        if determinant(minor) <= 0:
-            raise ConsistencyError("Sylvester: leading minor %d is not "
-                                   "positive" % k)
+        _require(determinant(minor) > 0,
+                 "Sylvester: leading minor %d is not positive", k)
     return True
 
 
 def determinant(m):
     """The product of the pivot values of the rows, added in order to
     an Echelon, times the sign of the order the pivots arrived in."""
-    assert m.rows == m.cols
-    ech = Echelon()
+    _require(m.rows == m.cols, "determinant: %dx%d matrix", m.rows, m.cols)
+    ech = Echelon(m.cols)
     det = Q(1)
     for row in m.a:
         f = ech.add(row)
         if not f:
             return Q(0)
         det *= f
-    piv = ech.pivots
+    piv = list(ech.rows)
     inversions = sum(p > q for i, p in enumerate(piv) for q in piv[i + 1:])
     return -det if inversions % 2 else det

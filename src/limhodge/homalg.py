@@ -99,14 +99,17 @@ class ChainMap:
             m = components.get(p)
             if m is None:
                 m = Matrix.zero(target.dim(p), source.dim(p))
-            assert m.rows == target.dim(p) and m.cols == source.dim(p), \
-                ("chain map shape at degree", p)
+            if (m.rows, m.cols) != (target.dim(p), source.dim(p)):
+                raise ConsistencyError("chain map: %dx%d component at "
+                                       "degree %d" % (m.rows, m.cols, p))
             self.f[p] = m
         if check:
             for p in range(lo, hi):
                 lhs = self.target.diff(p) * self.comp(p)
                 rhs = self.comp(p + 1) * self.source.diff(p)
-                assert lhs == rhs, ("chain map does not commute with d at", p)
+                if lhs != rhs:
+                    raise ConsistencyError("chain map does not commute "
+                                           "with d at degree %d" % p)
 
     def comp(self, p):
         return self.f.get(p, Matrix.zero(self.target.dim(p),
@@ -216,14 +219,14 @@ def tensor_map(f, g):
         soff = tensor_offsets(f.source, g.source, n)
         toff = tensor_offsets(f.target, g.target, n)
         for (p, q), so in soff.items():
-            if (p, q) not in toff:
-                fa = f.comp(p)
-                ga = g.comp(q)
-                assert fa.rows == 0 or ga.rows == 0
-                continue
-            to = toff[(p, q)]
             fa = f.comp(p)
             ga = g.comp(q)
+            if (p, q) not in toff:
+                if fa.rows and ga.rows:
+                    raise ConsistencyError("tensor_map: no target summand "
+                                           "(%d, %d)" % (p, q))
+                continue
+            to = toff[(p, q)]
             for i1 in range(fa.rows):
                 for j1 in range(fa.cols):
                     c1 = fa.a[i1][j1]
@@ -366,7 +369,9 @@ def zeta(f, m):
 def check_exact(f, g):
     """Check 0 -> K -f-> L -g-> M -> 0 is exact degreewise."""
     k, l, m = f.source, f.target, g.target
-    assert g.source is l or g.source == l
+    if not (g.source is l or g.source == l):
+        raise ConsistencyError("check_exact: g does not start at the "
+                               "target of f")
     lo = min(k.lo, l.lo, m.lo)
     hi = max(k.hi, l.hi, m.hi)
     for p in range(lo, hi + 1):
@@ -402,10 +407,14 @@ def connecting(f, g):
         for j in range(hm):
             z = [sec_m.a[i][j] for i in range(m.dim(p))]
             y = solve(g.comp(p), z)
-            assert y is not None
+            if y is None:
+                raise ConsistencyError("connecting: no lift through g at "
+                                       "degree %d" % p)
             dy = l.diff(p).matvec(y)
             x = solve(f.comp(p + 1), dy)
-            assert x is not None
+            if x is None:
+                raise ConsistencyError("connecting: d of the lift is not "
+                                       "in the image of f at degree %d" % p)
             cls = proj_k.matvec(x)
             for i in range(hk):
                 mat.a[i][j] = cls[i]
@@ -429,23 +438,22 @@ class FilteredComplex:
 
     def _validate(self):
         c = self.complex
-        assert self.w_weights, "empty filtration"
+        if not self.w_weights:
+            raise ConsistencyError("empty filtration")
         top = self.w_weights[-1]
         for p in c.degrees():
-            assert self.w_sub(top, p).dim == c.dim(p), \
-                "W not exhaustive at degree %d" % p
-            prev = None
-            for m in self.w_weights:
-                cur = self.w_sub(m, p)
-                if prev is not None:
-                    assert cur.contains(prev), \
-                        ("W not increasing at", m, p)
-                prev = cur
+            if self.w_sub(top, p).dim != c.dim(p):
+                raise ConsistencyError("W not exhaustive at degree %d" % p)
+            for m0, m in zip(self.w_weights, self.w_weights[1:]):
+                if not self.w_sub(m, p).contains(self.w_sub(m0, p)):
+                    raise ConsistencyError("W not increasing at weight %d, "
+                                           "degree %d" % (m, p))
         for m in self.w_weights:
             for p in c.degrees():
                 img = self.w_sub(m, p).image_under(c.diff(p))
-                assert self.w_sub(m, p + 1).contains(img), \
-                    ("d does not preserve W", m, p)
+                if not self.w_sub(m, p + 1).contains(img):
+                    raise ConsistencyError("d does not preserve W at "
+                                           "weight %d, degree %d" % (m, p))
 
     def w_sub(self, m, p):
         n = self.complex.dim(p)

@@ -135,23 +135,58 @@ def test_reports_identical_under_optimize(tmp_path):
 
 
 def test_exactlin_consistency_errors_under_optimize(tmp_path):
-    """Three wrong answers that only an `assert` stopped before: each
-    must raise ConsistencyError (exit 2 in the CLI) under `python -O`."""
+    """Checks that were only `assert`s: under `python -O` each case must
+    raise ConsistencyError (exit 2 in the CLI), not return a wrong
+    answer. In the check_exact case g starts at k2, not at k, with
+    ranks that make the sequence look exact."""
+    cases = {
+        "product": "Matrix(2, 2) * Matrix(3, 1)",
+        "singular-inverse": "inverse(Matrix(2, 2, [[1, 1], [1, 1]]))",
+        "coords-outside": "Subspace(2, [[1, 0]]).coords([0, 1])",
+        "contains-long-vector": "Subspace(2, [[1, 0]]).contains_vector("
+                                "[1, 0, 5])",
+        "contains-other-ambient": "Subspace(2, [[1, 0]]).contains("
+                                  "Subspace(3, [[1, 0, 7]]))",
+        "solve-long-rhs": "solve(Matrix.identity(2), [1, 2, 3])",
+        "determinant-2x3": "determinant(Matrix(2, 3, [[1, 0, 0], "
+                           "[0, 1, 0]]))",
+        "sum-of-shapes": "Matrix(1, 2) + Matrix(1, 3)",
+        "quotient-other-ambient": "quotient(Subspace.full(2), "
+                                  "Subspace.zero(3))",
+        "echelon-long-row": "Echelon(2).add([1, 0, 5])",
+        "chain-map-not-commuting": "ChainMap(k, k, {0: Matrix.identity(1),"
+                                   " 1: Matrix(1, 1)})"
+                                   ".induced_on_cohomology(0)",
+        "chain-map-shape": "ChainMap(k, k, {0: Matrix(2, 1)})",
+        "exact-through-other-complex": "check_exact(ChainMap("
+                                       "zero_complex(), k, {}), "
+                                       "ChainMap(k2, k2, {0: one, 1: one}))",
+        "filtration-empty": "FilteredComplex(k, {})",
+        "filtration-not-exhaustive": "FilteredComplex(k, {0: {0: full}})",
+        "filtration-not-increasing": "FilteredComplex(k, {0: {0: full}, "
+                                     "1: {1: full}, 2: {0: full, 1: full}})",
+        "filtration-not-preserved": "FilteredComplex(k, {0: {0: full}, "
+                                    "1: {0: full, 1: full}})",
+    }
     script = (
         "import sys\n"
-        "from limhodge.exactlin import ConsistencyError, Matrix, Subspace, "
-        "inverse\n"
+        "from limhodge.exactlin import (ConsistencyError, Echelon, Matrix,"
+        " Subspace, determinant, inverse, quotient, solve)\n"
+        "from limhodge.homalg import (ChainMap, Complex, FilteredComplex, "
+        "check_exact, zero_complex)\n"
+        "k = Complex({0: 1, 1: 1}, {0: Matrix.identity(1)})\n"
+        "k2 = Complex({0: 1, 1: 1}, {0: Matrix(1, 1, [[2]])})\n"
+        "one, full = Matrix.identity(1), Subspace.full(1)\n"
         "print('optimize', sys.flags.optimize)\n"
-        "for case in (lambda: Matrix(2, 2) * Matrix(3, 1),\n"
-        "             lambda: inverse(Matrix(2, 2, [[1, 1], [1, 1]])),\n"
-        "             lambda: Subspace(2, [[1, 0]]).coords([0, 1])):\n"
+        "for name, case in %r.items():\n"
         "    try:\n"
-        "        print('returned', case())\n"
+        "        print(name, 'returned', eval(case))\n"
         "    except ConsistencyError:\n"
-        "        print('raised')\n")
+        "        print(name, 'raised')\n" % cases)
     proc = _run_python(["-O"], ["-c", script], tmp_path)
     assert proc.returncode == 0 and not proc.stderr, proc.stderr
-    assert proc.stdout.split("\n") == ["optimize 1"] + ["raised"] * 3 + [""]
+    assert proc.stdout.split("\n") == (["optimize 1"] + [
+        name + " raised" for name in cases] + [""])
 
 
 def test_fixture_kinds(tmp_path):

@@ -357,14 +357,35 @@ def row_lists(draw, n, max_rows=4):
     return rows
 
 
+@st.composite
+def incidence_rows(draw, n, max_rows=4):
+    """Rows like those of the signed block-incidence matrices of the E1
+    differentials: mostly 0, else ±1 or ±2, and 0 to 3 extra rows the
+    sum or difference of two earlier ones, so that entries cancel to
+    exactly 0."""
+    entry = st.sampled_from([0] * 6 + [1, -1, 2, -2])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        sign = draw(st.sampled_from([1, -1]))
+        rows.append([x + sign * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+def any_rows(n, max_rows=4):
+    """Dense rational rows or sparse incidence-like integer rows."""
+    return st.one_of(row_lists(n, max_rows), incidence_rows(n, max_rows))
+
+
 def is_fraction_matrix(m):
     return all(type(x) is Q for row in m.a for x in row)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 5), st.data())
 def test_rref_and_rank_match_reference(c, data):
-    rows = data.draw(row_lists(c, max_rows=5))
+    rows = data.draw(any_rows(c, max_rows=5))
     m = Matrix(len(rows), c, rows)
     r, piv = rref(m)
     ref_a, ref_piv = ref_rref(m)
@@ -373,10 +394,10 @@ def test_rref_and_rank_match_reference(c, data):
     assert rank(m) == len(ref_piv)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 5), st.data())
 def test_determinant_matches_reference(n, data):
-    rows = data.draw(row_lists(n, max_rows=n).filter(lambda r: len(r) >= n))
+    rows = data.draw(any_rows(n, max_rows=n).filter(lambda r: len(r) >= n))
     m = Matrix(n, n, rows[:n])
     det = determinant(m)
     assert det == ref_determinant(m) and type(det) is Q
@@ -396,10 +417,10 @@ def test_positive_definite_matches_reference(n, data):
     assert is_positive_definite(sym) == ref_positive_definite(sym)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 5), st.data())
 def test_quotient_matches_reference(n, data):
-    r1, r2 = data.draw(row_lists(n)), data.draw(row_lists(n))
+    r1, r2 = data.draw(any_rows(n)), data.draw(any_rows(n))
     by = Subspace(n, r2)
     for sub in (Subspace(n, r1 + r2), Subspace.full(n), by):
         d, proj, section = quotient(sub, by)
@@ -408,10 +429,10 @@ def test_quotient_matches_reference(n, data):
         assert is_fraction_matrix(proj) and is_fraction_matrix(section)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 4), st.data())
 def test_subspace_operations_match_reference(n, mr, data):
-    r1, r2 = data.draw(row_lists(n)), data.draw(row_lists(n))
+    r1, r2 = data.draw(any_rows(n)), data.draw(any_rows(n))
     u, v = Subspace(n, r1), Subspace(n, r2)
     assert u.basis.to_lists() == ref_basis(r1, n)
     assert u.intersect(v).basis.to_lists() == ref_preimage(
@@ -421,7 +442,7 @@ def test_subspace_operations_match_reference(n, mr, data):
     m = Matrix(mr, n, data.draw(st.lists(
         st.lists(mixed_entries, min_size=n, max_size=n),
         min_size=mr, max_size=mr)))
-    target = Subspace(mr, data.draw(row_lists(mr)))
+    target = Subspace(mr, data.draw(any_rows(mr)))
     assert (u.preimage_under(m, target).basis.to_lists()
             == ref_preimage(u, m, target))
     w = u.sum(v).basis.row(0) if u.sum(v).dim else [Q(0)] * n
