@@ -35,8 +35,8 @@ class RunConfig:
     def __init__(self, command, path=None, page="A", fmt="table",
                  strict=False, dump=False, output=None, kind=None,
                  components=3, dim=2):
-        assert command in ("validate", "e1", "e2", "mhs", "polarize",
-                           "compare", "fixture")
+        if command not in _HANDLERS:
+            raise ValueError("unknown command %r" % (command,))
         self.command = command
         self.path = path
         self.page = page
@@ -160,19 +160,22 @@ def _cmd_compare(config):
 
 
 def _cmd_fixture(config):
-    if config.kind == "cycle":
-        datum = strata.fixture_cycle_of_p1(config.components)
-        name = "cycle%d.json" % config.components
-    elif config.kind == "projective":
-        datum = strata.fixture_projective_space(config.dim)
-        name = "p%d.json" % config.dim
-    elif config.kind == "product":
-        datum = strata.fixture_product_with_p1(
-            strata.fixture_cycle_of_p1(config.components))
-        name = "cycle%dxp1.json" % config.components
-    else:
+    fixtures = {
+        "cycle": (strata.fixture_cycle_of_p1, "cycle%d.json"),
+        "projective": (strata.fixture_projective_space, "p%d.json"),
+        "product": (lambda n: strata.fixture_product_with_p1(
+            strata.fixture_cycle_of_p1(n)), "cycle%dxp1.json"),
+    }
+    if config.kind not in fixtures:
         raise strata.StrataError("unknown fixture %r" % config.kind)
-    path = config.output or name
+    build, name = fixtures[config.kind]
+    flag, size = ("--dim", config.dim) if config.kind == "projective" \
+        else ("--components", config.components)
+    try:
+        datum = build(size)
+    except ValueError as e:
+        raise strata.StrataError("%s %d: %s" % (flag, size, e)) from None
+    path = config.output or name % size
     strata.save(datum, path)
     return 0, {"command": "fixture", "written": path}
 

@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 from itertools import permutations, combinations
 from math import factorial
 
-from .exactlin import Matrix, Subspace
+from .exactlin import Matrix, Subspace, _require
 from .homalg import (
     Complex, ChainMap, FilteredComplex, tensor, tensor_offsets, tensor_map,
 )
@@ -28,8 +28,8 @@ from .homalg import (
 class IndexSet:
     def __init__(self, labels):
         labels = list(labels)
-        assert labels, "empty index set"
-        assert len(set(labels)) == len(labels), "labels not distinct"
+        _require(labels, "empty index set")
+        _require(len(set(labels)) == len(labels), "labels not distinct")
         self.labels = labels
         self._pos = {x: i for i, x in enumerate(labels)}
 
@@ -126,7 +126,8 @@ def contract_sign(ix, nu, a):
 def theta(ix, sigma, lam, mu):
     """theta(sigma)(e_lam (x) e_mu) for two orderings of sigma; the
     diagonal is sent to 1."""
-    assert frozenset(lam) == frozenset(mu) == frozenset(sigma)
+    _require(frozenset(lam) == frozenset(mu) == frozenset(sigma),
+             "theta: orderings of another subset")
     return orientation_sign(ix, lam) * orientation_sign(ix, mu)
 
 
@@ -149,7 +150,7 @@ class CoCubicalComplex:
     def map(self, sigma, tau):
         """The matrix family of K(iota): K(sigma) -> K(tau)."""
         sigma, tau = frozenset(sigma), frozenset(tau)
-        assert sigma <= tau
+        _require(sigma <= tau, "map: source subset not in target")
         key = (sigma, tau)
         if key in self._map_cache:
             return self._map_cache[key]
@@ -176,8 +177,10 @@ class CoCubicalComplex:
 
     def _check_functorial(self):
         for (sigma, tau), f in self.cover_maps.items():
-            assert f.source is self.complexes[sigma]
-            assert f.target is self.complexes[tau]
+            _require(f.source is self.complexes[sigma]
+                     and f.target is self.complexes[tau],
+                     "cover map %r: not between the complexes of its ends",
+                     (sorted(sigma), sorted(tau)))
         for sigma in self.complexes:
             for x in self.ix.labels:
                 for y in self.ix.labels:
@@ -191,8 +194,9 @@ class CoCubicalComplex:
                     via_y = self._compose((sigma, sigma | {y}),
                                           (sigma | {y}, tau))
                     for p in self.complexes[tau].degrees():
-                        assert via_x.get(p) == via_y.get(p), \
-                            ("functoriality fails", sigma, tau, p)
+                        _require(via_x.get(p) == via_y.get(p),
+                                 "functoriality fails from %r to %r in "
+                                 "degree %d", sorted(sigma), sorted(tau), p)
 
     def _compose(self, step1, step2):
         f1 = self.cover_maps[step1]
@@ -203,7 +207,8 @@ class CoCubicalComplex:
 
 def tensor_cocubical(k, l, check=False):
     """The co-cubical complex sigma -> K(sigma) (x) L(sigma)."""
-    assert k.ix is l.ix or k.ix.labels == l.ix.labels
+    _require(k.ix is l.ix or k.ix.labels == l.ix.labels,
+             "tensor_cocubical: different index sets")
     complexes = {s: tensor(k.complexes[s], l.complexes[s])
                  for s in k.complexes}
     cover = {}
@@ -224,7 +229,8 @@ class CechComplex:
     """
 
     def __init__(self, K, model):
-        assert model in ("ordered", "alternating")
+        _require(model in ("ordered", "alternating"),
+                 "unknown Cech model %r", model)
         self.K = K
         self.model = model
         self.ix = K.ix
@@ -383,7 +389,8 @@ def cech_filtration(cechc, filts, delta=False):
 def antisymmetrize(cech_ord, cech_alt):
     """The chain map ordered -> alternating model:
     f_A = (1/(k+1)!) sum over orderings lam of A of sign(lam) f_lam."""
-    assert cech_ord.model == "ordered" and cech_alt.model == "alternating"
+    _require(cech_ord.model == "ordered" and cech_alt.model == "alternating",
+             "antisymmetrize: from the ordered to the alternating model")
     ix = cech_ord.ix
     comps = {}
     for n in cech_ord.total.degrees():
@@ -409,7 +416,8 @@ def tau(cech_k, cech_l, cech_kl):
     L(iota)(g_{t_k(lam)}), totaled with the sign (-1)^{(p-k)l} where p
     is the total degree of f and k, l the Čech degrees.
     """
-    assert cech_k.model == cech_l.model == cech_kl.model == "ordered"
+    _require(cech_k.model == cech_l.model == cech_kl.model == "ordered",
+             "tau: needs the ordered model")
     src = tensor(cech_k.total, cech_l.total)
     tgt = cech_kl.total
     comps = {}
@@ -430,7 +438,8 @@ def tau(cech_k, cech_l, cech_kl):
                     if key not in tgt_blocks:
                         continue
                     toff, tsz, tl = tgt_blocks[key]
-                    assert tl == a + b
+                    _require(tl == a + b, "tau: degree %d of the target "
+                             "cell is not %d + %d", tl, a, b)
                     sgn = Q(1) if ((p - kf) * lg) % 2 == 0 else Q(-1)
                     sig = frozenset(lam)
                     kmat = cech_k.K.map(frozenset(mu), sig).get(a)

@@ -135,14 +135,14 @@ class Matrix:
         if isinstance(other, Matrix):
             _require(self.cols == other.rows, "%dx%d times %dx%d matrix",
                      self.rows, self.cols, other.rows, other.cols)
-            other_nz = [[(j, v) for j, v in enumerate(row) if v != 0]
+            other_nz = [[(j, v) for j, v in enumerate(row) if v]
                         for row in other.a]
             zero = Q(0)
             out = [[zero] * other.cols for _ in range(self.rows)]
             for i, row in enumerate(self.a):
                 oi = out[i]
                 for k, x in enumerate(row):
-                    if x == 0:
+                    if not x:
                         continue
                     for j, y in other_nz[k]:
                         oi[j] = oi[j] + x * y
@@ -198,6 +198,22 @@ def block_diag(blocks):
                 m.a[i0 + i][j0 + j] = b.a[i][j]
         i0 += b.rows
         j0 += b.cols
+    return m
+
+
+def kron(a, b):
+    """Kronecker product: the entry (i*b.rows + k, j*b.cols + l) is
+    a[i][j] * b[k][l]. Zero entries of either factor are skipped."""
+    m = Matrix(a.rows * b.rows, a.cols * b.cols)
+    b_nz = [[(l, y) for l, y in enumerate(row) if y] for row in b.a]
+    for i, row in enumerate(a.a):
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            for k, nz in enumerate(b_nz):
+                out = m.a[i * b.rows + k]
+                for l, y in nz:
+                    out[j * b.cols + l] = x * y
     return m
 
 
@@ -417,17 +433,22 @@ def image(m):
 
 
 def solve(m, b):
-    """One solution x of m·x = b, or None if inconsistent."""
-    _require(m.rows == len(b), "solve: %dx%d matrix, right side of "
-             "length %d", m.rows, m.cols, len(b))
-    aug = hstack([m, Matrix(m.rows, 1, [[x] for x in b])])
-    r, pivots = rref(aug)
-    if m.cols in pivots:
+    """One solution x of m·x = b, or None if inconsistent. The right
+    side b is a vector, or a Matrix whose columns are right sides: then
+    x is a Matrix, and None if any column is inconsistent. Free
+    variables are 0."""
+    vector = not isinstance(b, Matrix)
+    if vector:
+        b = Matrix(len(b), 1, [[x] for x in b])
+    _require(m.rows == b.rows, "solve: %dx%d matrix, right side of "
+             "length %d", m.rows, m.cols, b.rows)
+    r, pivots = rref(hstack([m, b]))
+    if pivots and pivots[-1] >= m.cols:
         return None
-    x = [Q(0)] * m.cols
+    x = Matrix(m.cols, b.cols)
     for i, pc in enumerate(pivots):
-        x[pc] = r.a[i][m.cols]
-    return x
+        x.a[pc] = r.a[i][m.cols:]
+    return [row[0] for row in x.a] if vector else x
 
 
 def quotient(sub, by):

@@ -34,11 +34,11 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 from .exactlin import (
-    Matrix, kernel, rank, vstack, is_positive_definite,
+    ConsistencyError, Matrix, kernel, rank, vstack, is_positive_definite,
 )
 from .homalg import Complex
 from .cubical import chi, wedge_insert_sign, contract_sign
-from .strata import Report, all_checks_pass, unit_vec
+from .strata import Report, all_checks_pass
 
 
 def eps(a):
@@ -364,7 +364,10 @@ def phi_e1(page_a, page_k):
                     k = asize - 1
                     tgt = page_k.find(m, q,
                                       (cech, k - s.r, s.sigma - cech))
-                    assert tgt is not None, (m, q, s.key, cech_t)
+                    if tgt is None:
+                        raise ConsistencyError(
+                            "phi: no K summand for %r at m=%d,q=%d"
+                            % (cech_t, m, q))
                     ksign = -1 if k % 2 else 1
                     coeff = ksign * chi(ix, cech, s.sigma - cech)
                     _add_block(out, tgt.offset, s.offset,
@@ -378,7 +381,7 @@ def trace_theta(page):
     row matrix.  Nonzero only on summands with r = 0 and sigma = A
     minus one label nu; the component is
     eps(k) (-1)^k contract_sign(nu, A) times the stratum trace."""
-    assert page.variant == "K"
+    _require_variant(page, "K")
     dat, ix, n = page.datum, page.datum.ix, page.n
     row = Matrix.zero(1, page.dim(0, 2 * n))
     for s in page.summands(0, 2 * n):
@@ -389,27 +392,29 @@ def trace_theta(page):
         k = len(s.cech) - 1
         ksign = -1 if k % 2 else 1
         coeff = eps(k) * ksign * contract_sign(ix, nu, s.cech)
-        tv = dat.trace_vec(s.cech)
-        assert len(tv) == s.dim
-        for j, v in enumerate(tv):
-            row.a[0][s.offset + j] += coeff * v
+        # a trace of another length than s.dim is a ConsistencyError
+        _add_block(row, 0, s.offset,
+                   Matrix(1, s.dim, [dat.trace_vec(s.cech)]), coeff)
     return row
 
 
 def _trace_row_a(page):
     """The trace functional on the A-page cell (0, 2n): the sum of the
     stratum traces over the r = 0 single-component summands."""
-    assert page.variant == "A"
+    _require_variant(page, "A")
     dat, n = page.datum, page.n
     row = Matrix.zero(1, page.dim(0, 2 * n))
     for s in page.summands(0, 2 * n):
-        if s.r != 0:
-            continue
-        tv = dat.trace_vec(s.sigma)
-        assert len(tv) == s.dim
-        for j, v in enumerate(tv):
-            row.a[0][s.offset + j] += v
+        if s.r == 0:
+            _add_block(row, 0, s.offset,
+                       Matrix(1, s.dim, [dat.trace_vec(s.sigma)]), 1)
     return row
+
+
+def _require_variant(page, variant):
+    if page.variant != variant:
+        raise ConsistencyError("a %s page where the %s page is needed"
+                               % (page.variant, variant))
 
 
 class Columns:
@@ -448,7 +453,7 @@ def _pairing_e1(page, m, q):
     and (-m, 2n-q): the summand (sigma, r) pairs only with
     (sigma, r+m), through the stratum cup product and trace, with
     coefficient (-1)^(m(q+1)) eps(m)."""
-    assert page.variant == "A"
+    _require_variant(page, "A")
     dat, n = page.datum, page.n
     out = Matrix.zero(page.dim(m, q), page.dim(-m, 2 * n - q))
     kap = eps(m) * (-1 if (m * (q + 1)) % 2 else 1)
@@ -457,16 +462,11 @@ def _pairing_e1(page, m, q):
         if part is None:
             continue
         # twist balance: tw_x + tw_y + (c_x + c_y)/2 = n
-        assert s.tw + part.tw + (s.c + part.c) // 2 == n, \
-            ("twist imbalance", m, q, s.key)
-        ring = dat.ring(s.sigma)
-        for a in range(s.dim):
-            ea = unit_vec(s.dim, a)
-            for b in range(part.dim):
-                prod = ring.mul(s.c, part.c, ea,
-                                unit_vec(part.dim, b))
-                out.a[s.offset + a][part.offset + b] = \
-                    kap * dat.trace(s.sigma, prod)
+        if s.tw + part.tw + (s.c + part.c) // 2 != n:
+            raise ConsistencyError("pairing: twist imbalance at m=%d,q=%d "
+                                   "for %r" % (m, q, sorted(s.sigma)))
+        gram = dat.ring(s.sigma).gram(s.c, part.c, dat.trace_vec(s.sigma))
+        _add_block(out, s.offset, part.offset, gram, kap)
     return out
 
 
@@ -637,15 +637,9 @@ class HLModule:
         lim = self.limit
         prim = self.primitive(q, i)
         op = lim.l_power(-i, q, self.n - q) * lim.n_power(i, q, i)
-        qmat = lim.q_block(i, q)
-        form = Matrix.zero(prim.dim, prim.dim)
-        for a in range(prim.dim):
-            xa = prim.basis.row(a)
-            for b in range(prim.dim):
-                yb = op.matvec(prim.basis.row(b))
-                form.a[a][b] = eps(q) * sum(
-                    (u * v for u, v in zip(xa, qmat.matvec(yb))), Q(0))
-        return prim, form
+        x = prim.basis
+        return prim, (x * lim.q_block(i, q) * op * x.transpose()).scale(
+            eps(q))
 
 
 def pairing(limit):

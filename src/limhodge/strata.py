@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 
 from .exactlin import (
     ConsistencyError, Matrix, rank, rat_to_str, rat_from_str,
-    is_positive_definite, kernel,
+    is_positive_definite, kernel, kron, solve,
 )
 from .cubical import IndexSet
 
@@ -80,6 +80,15 @@ class Ring:
                         out[r] += e * xy
         return out
 
+    def gram(self, i, j, trace):
+        """The matrix t(e_a.e_b) of the pairing H^i x H^j -> Q through
+        the functional t = `trace` on H^{i+j}: the row t.T_ij, cut into
+        dim(i) rows of dim(j)."""
+        row = (Matrix(1, len(trace), [trace]) * self.table(i, j)).a[0]
+        di, dj = self.dim(i), self.dim(j)
+        return Matrix._raw(di, dj, [row[a * dj:(a + 1) * dj]
+                                    for a in range(di)])
+
     def mult_operator(self, x, i, j):
         """The matrix of (y -> x.y): H^j -> H^{i+j} for x in H^i."""
         out = Matrix.zero(self.dim(i + j), self.dim(j))
@@ -120,15 +129,14 @@ class StrataDatum:
     def trace_vec(self, sigma):
         return self.traces[frozenset(sigma)]
 
-    def trace(self, sigma, x):
-        t = self.trace_vec(sigma)
-        return sum((a * b for a, b in zip(t, x)), Q(0))
-
     def restrict_mat(self, sigma, tau, deg):
         """Matrix of a*: H^deg(Y_sigma) -> H^deg(Y_tau), sigma <= tau,
         composed along covering steps."""
         sigma, tau = frozenset(sigma), frozenset(tau)
-        assert sigma <= tau
+        if not sigma <= tau:
+            raise ConsistencyError("restriction from %r to %r, which it "
+                                   "does not contain"
+                                   % (sorted(sigma), sorted(tau)))
         rs, rt = self.ring(sigma), self.ring(tau)
         if sigma == tau:
             return Matrix.identity(rs.dim(deg))
@@ -218,6 +226,12 @@ class StrataDatum:
             for (i, j), m in ring.mult.items():
                 expect("strata/%s/products/%d,%d" % (skey(self.ix, s), i, j),
                        m, ring.dim(i + j), ring.dim(i) * ring.dim(j))
+            for i in range(ring.top + 1):
+                for j in range(ring.top + 1 - i):
+                    if ring.dim(i) and ring.dim(j) and ring.dim(i + j) \
+                            and (i, j) not in ring.mult:
+                        raise StrataError("strata/%s/products/%d,%d: missing"
+                                          % (skey(self.ix, s), i, j))
         for s in self.nerve:
             for x in self.ix.labels:
                 if x in s:
@@ -242,8 +256,10 @@ class StrataDatum:
     def _derive_missing_gysin(self):
         """Fill in omitted Gysin maps from Poincaré duality and the
         trace adjunction t_s(g(a).b) = -t_{s+nu}(a.restrict(b)), which
-        determines g uniquely once traces and products are fixed."""
-        from .exactlin import solve
+        determines g uniquely once traces and products are fixed: with
+        P the trace pairing of H^{i+2} and H^c on Y_s (c = 2 dim Y_s -
+        i - 2), g on H^i solves P^T g = -(P' R_c)^T, P' the pairing of
+        H^i and H^c on Y_{s+nu}."""
         for sigma in self.nerve:
             for nu in self.ix.labels:
                 if nu in sigma:
@@ -252,41 +268,20 @@ class StrataDatum:
                 if tau not in self.nerve or (sigma, nu) in self.gysin:
                     continue
                 rs, rt = self.ring(sigma), self.ring(tau)
-                ds, dt = self.stratum_dim(sigma), self.stratum_dim(tau)
                 mats = {}
-                for i in range(0, 2 * dt + 1):
-                    out_deg = i + 2
-                    comp_deg = 2 * ds - out_deg
-                    rows = rs.dim(out_deg)
-                    cols = rt.dim(i)
-                    m = Matrix.zero(rows, cols)
-                    if rows and cols and 0 <= comp_deg <= 2 * ds:
-                        # pairing P[c][b] = t_s(e_c . e_b)
-                        pmat = Matrix.zero(rows, rs.dim(comp_deg))
-                        for c in range(rows):
-                            for b in range(rs.dim(comp_deg)):
-                                prod = rs.mul(out_deg, comp_deg,
-                                              unit_vec(rows, c),
-                                              unit_vec(rs.dim(comp_deg),
-                                                       b))
-                                pmat.a[c][b] = self.trace(sigma, prod)
-                        rmat = self.restrict_mat(sigma, tau, comp_deg)
-                        for a in range(cols):
-                            xa = unit_vec(cols, a)
-                            rhs = []
-                            for b in range(rs.dim(comp_deg)):
-                                rb = rmat.matvec(
-                                    unit_vec(rs.dim(comp_deg), b))
-                                val = -self.trace(
-                                    tau, rt.mul(i, comp_deg, xa, rb))
-                                rhs.append(val)
-                            x = solve(pmat.transpose(), rhs)
-                            if x is None:
-                                raise StrataError(
-                                    "cannot derive gysin at %r|%s deg %d"
-                                    % (sorted(sigma), nu, i))
-                            for r_ in range(rows):
-                                m.a[r_][a] = x[r_]
+                for i in range(rt.top + 1):
+                    comp = rt.top - i
+                    m = Matrix.zero(rs.dim(i + 2), rt.dim(i))
+                    if m.rows and m.cols:
+                        rhs = rt.gram(i, comp, self.traces[tau]) \
+                            * self.restrict_mat(sigma, tau, comp)
+                        m = solve(rs.gram(i + 2, comp,
+                                          self.traces[sigma]).transpose(),
+                                  -rhs.transpose())
+                        if m is None:
+                            raise StrataError(
+                                "cannot derive gysin at %r|%s deg %d"
+                                % (sorted(sigma), nu, i))
                     mats[i] = m
                 self.gysin[(sigma, nu)] = mats
 
@@ -313,111 +308,88 @@ def all_checks_pass(report):
     return all(r["ok"] for r in report)
 
 
+def _swap(t, di, dj):
+    """The table t of a product H^j x H^i read on H^i x H^j: column
+    a*dj + b of the result is column b*di + a of t."""
+    return Matrix._raw(t.rows, t.cols, [[row[b * di + a] for a in range(di)
+                                         for b in range(dj)]
+                                        for row in t.a])
+
+
 def validate(datum):
-    """Run checks (a)-(h); returns a Report."""
+    """Run checks (a)-(h); returns a Report.
+
+    Each identity of products is one matrix identity per degree tuple,
+    written with the product tables T_ij and Kronecker products. A
+    tuple with an empty basis in it is skipped: the identity holds
+    there. A failing check names the last failing tuple in loop
+    order."""
+    one = Matrix.identity
     report = Report()
     for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
         key = ",".join(datum.ix.sort(sigma))
         ring = datum.ring(sigma)
+        dim, T = ring.dim, ring.table
         d = datum.stratum_dim(sigma)
+        tr = datum.trace_vec(sigma)
         # (a) unit, graded commutativity, associativity
-        ok = True
         wit = ""
+        u = Matrix(dim(0), 1, [[1]] * dim(0))
         for j in range(0, 2 * d + 1):
-            for b in range(ring.dim(j)):
-                e = unit_vec(ring.dim(j), b)
-                if ring.mul(0, j, ring.unit, e) != e \
-                        or ring.mul(j, 0, e, ring.unit) != e:
-                    ok, wit = False, "unit fails in degree %d" % j
+            if dim(j) and not (T(0, j) * kron(u, one(dim(j))) == one(dim(j))
+                               == T(j, 0) * kron(one(dim(j)), u)):
+                wit = "unit fails in degree %d" % j
         for i in range(0, 2 * d + 1):
             for j in range(0, 2 * d + 1 - i):
-                for a in range(ring.dim(i)):
-                    for b in range(ring.dim(j)):
-                        x = unit_vec(ring.dim(i), a)
-                        y = unit_vec(ring.dim(j), b)
-                        lhs = ring.mul(i, j, x, y)
-                        rhs = ring.mul(j, i, y, x)
-                        sgn = Q(-1) ** (i * j)
-                        if lhs != [sgn * v for v in rhs]:
-                            ok = False
-                            wit = "commutativity fails at (%d,%d)" % (i, j)
+                if dim(i) and dim(j) and dim(i + j) and T(i, j) != _swap(
+                        T(j, i), dim(i), dim(j)).scale((-1) ** (i * j)):
+                    wit = "commutativity fails at (%d,%d)" % (i, j)
         for i in range(0, 2 * d + 1):
             for j in range(0, 2 * d + 1 - i):
                 for k in range(0, 2 * d + 1 - i - j):
-                    for a in range(ring.dim(i)):
-                        for b in range(ring.dim(j)):
-                            for c in range(ring.dim(k)):
-                                x = unit_vec(ring.dim(i), a)
-                                y = unit_vec(ring.dim(j), b)
-                                z = unit_vec(ring.dim(k), c)
-                                lhs = ring.mul(i + j, k,
-                                               ring.mul(i, j, x, y), z)
-                                rhs = ring.mul(i, j + k, x,
-                                               ring.mul(j, k, y, z))
-                                if lhs != rhs:
-                                    ok = False
-                                    wit = ("associativity fails at "
-                                           "(%d,%d,%d)" % (i, j, k))
-        report.add("ring-axioms", key, ok, wit)
+                    if dim(i) and dim(j) and dim(k) and dim(i + j + k) \
+                            and T(i + j, k) * kron(T(i, j), one(dim(k))) \
+                            != T(i, j + k) * kron(one(dim(i)), T(j, k)):
+                        wit = "associativity fails at (%d,%d,%d)" % (i, j, k)
+        report.add("ring-axioms", key, not wit, wit)
         # (e) Poincaré duality
-        ok = True
         wit = ""
         for k in range(0, 2 * d + 1):
-            dk, dk2 = ring.dim(k), ring.dim(2 * d - k)
-            if dk != dk2:
-                ok, wit = False, "betti asymmetry at degree %d" % k
-                continue
-            pair = Matrix.zero(dk, dk)
-            for a in range(dk):
-                for b in range(dk):
-                    prod = ring.mul(k, 2 * d - k, unit_vec(dk, a),
-                                    unit_vec(dk, b))
-                    pair.a[a][b] = datum.trace(sigma, prod)
-            if rank(pair) != dk:
-                ok, wit = False, "degenerate pairing in degree %d" % k
-        report.add("poincare-duality", key, ok, wit)
+            if dim(k) != dim(2 * d - k):
+                wit = "betti asymmetry at degree %d" % k
+            elif dim(k) and rank(ring.gram(k, 2 * d - k, tr)) != dim(k):
+                wit = "degenerate pairing in degree %d" % k
+        report.add("poincare-duality", key, not wit, wit)
         # (f) hard Lefschetz
-        ok = True
         wit = ""
-        ell = datum.ample[frozenset(sigma)]
+        ell = datum.ample[sigma]
         for k in range(1, d + 1):
-            op = Matrix.identity(ring.dim(d - k))
+            op = Matrix.identity(dim(d - k))
             for step in range(k):
                 op = ring.mult_operator(ell, 2, d - k + 2 * step) * op
-            if ring.dim(d - k) != ring.dim(d + k) \
-                    or rank(op) != ring.dim(d - k):
-                ok, wit = False, "l^%d not an isomorphism" % k
-        report.add("hard-lefschetz", key, ok, wit)
-        # (g) Hodge-Riemann on primitive parts (Hodge-Tate case)
-        ok = True
+            if dim(d - k) != dim(d + k) or rank(op) != dim(d - k):
+                wit = "l^%d not an isomorphism" % k
+        report.add("hard-lefschetz", key, not wit, wit)
+        # (g) Hodge-Riemann on primitive parts (Hodge-Tate case): the
+        # form (-1)^p t(l^{d-k} x . y) on the kernel of l^{d-k+1}
         wit = ""
         if datum.hodge_tate:
             for p in range(0, d // 2 + 1):
                 k = 2 * p
-                if ring.dim(k) == 0:
+                if dim(k) == 0:
                     continue
-                op = Matrix.identity(ring.dim(k))
-                for step in range(d - k + 1):
-                    op = ring.mult_operator(ell, 2, k + 2 * step) * op
-                prim = kernel(op)
-                if prim.dim == 0:
-                    continue
-                form = Matrix.zero(prim.dim, prim.dim)
-                lpow = Matrix.identity(ring.dim(k))
+                lpow = Matrix.identity(dim(k))
                 for step in range(d - k):
                     lpow = ring.mult_operator(ell, 2, k + 2 * step) * lpow
-                for a in range(prim.dim):
-                    xa = prim.basis.row(a)
-                    la = lpow.matvec(xa)
-                    for b in range(prim.dim):
-                        xb = prim.basis.row(b)
-                        prod = ring.mul(2 * d - k, k, la, xb)
-                        form.a[a][b] = Q(-1) ** p * datum.trace(sigma,
-                                                                prod)
-                if not is_positive_definite(form):
-                    ok, wit = False, \
-                        "primitive form not positive in degree %d" % k
-        report.add("hodge-riemann", key, ok, wit)
+                prim = kernel(ring.mult_operator(ell, 2, 2 * d - k) * lpow)
+                if prim.dim == 0:
+                    continue
+                x = prim.basis
+                form = x * lpow.transpose() * ring.gram(2 * d - k, k, tr) \
+                    * x.transpose()
+                if not is_positive_definite(form.scale((-1) ** p)):
+                    wit = "primitive form not positive in degree %d" % k
+        report.add("hodge-riemann", key, not wit, wit)
 
     # (b) restriction functoriality and ring maps; (h) ample restriction
     for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
@@ -430,30 +402,21 @@ def validate(datum):
                 continue
             tkey = ",".join(datum.ix.sort(tau))
             rs, rt = datum.ring(sigma), datum.ring(tau)
-            ok = True
-            wit = ""
-            r0 = datum.restrict_mat(sigma, tau, 0)
-            if r0.matvec(rs.unit) != rt.unit:
-                ok, wit = False, "unit not preserved"
             dt = datum.stratum_dim(tau)
+            r = [datum.restrict_mat(sigma, tau, deg)
+                 for deg in range(2 * dt + 1)]
+            wit = ""
+            if r[0].matvec(rs.unit) != rt.unit:
+                wit = "unit not preserved"
+            # R_{i+j} T_ij = T'_ij (R_i (x) R_j)
             for i in range(0, 2 * dt + 1):
                 for j in range(0, 2 * dt + 1 - i):
-                    ri = datum.restrict_mat(sigma, tau, i)
-                    rj = datum.restrict_mat(sigma, tau, j)
-                    rij = datum.restrict_mat(sigma, tau, i + j)
-                    for a in range(rs.dim(i)):
-                        for b in range(rs.dim(j)):
-                            xa = unit_vec(rs.dim(i), a)
-                            yb = unit_vec(rs.dim(j), b)
-                            lhs = rij.matvec(rs.mul(i, j, xa, yb))
-                            rhs = rt.mul(i, j, ri.matvec(xa),
-                                         rj.matvec(yb))
-                            if lhs != rhs:
-                                ok = False
-                                wit = ("not a ring map at degrees "
-                                       "(%d,%d)" % (i, j))
+                    if rs.dim(i) and rs.dim(j) and rt.dim(i + j) \
+                            and r[i + j] * rs.table(i, j) \
+                            != rt.table(i, j) * kron(r[i], r[j]):
+                        wit = "not a ring map at degrees (%d,%d)" % (i, j)
             where = "%s->%s" % (key, tkey)
-            report.add("restriction-ring-map", where, ok, wit)
+            report.add("restriction-ring-map", where, not wit, wit)
             # (h)
             okh = datum.restrict_mat(sigma, tau, 2).matvec(
                 datum.ample[sigma]) == datum.ample[tau]
@@ -480,7 +443,8 @@ def validate(datum):
                            "%s->%s" % (key, ",".join(datum.ix.sort(tau))),
                            ok, wit)
 
-    # (c) projection formula and (d) Gysin-trace adjunction
+    # (c) projection formula and (d) Gysin-trace adjunction, for a in
+    # H^i(Y_tau) and b in H^j(Y_sigma)
     for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
         key = ",".join(datum.ix.sort(sigma))
         for nu in datum.ix.labels:
@@ -491,59 +455,44 @@ def validate(datum):
                 continue
             wkey = "%s|%s" % (key, nu)
             rs, rt = datum.ring(sigma), datum.ring(tau)
-            d_s = datum.stratum_dim(sigma)
             dt = datum.stratum_dim(tau)
-            okc = True
-            okd = True
+            t_s = Matrix(1, rs.dim(rs.top), [datum.trace_vec(sigma)])
+            t_t = Matrix(1, rt.dim(rt.top), [datum.trace_vec(tau)])
             witc = witd = ""
             for i in range(0, 2 * dt + 1):
                 g_i = datum.gysin_mat(sigma, nu, i)
-                for j in range(0, 2 * d_s + 1):
-                    r_j = datum.restrict_mat(sigma, tau, j)
-                    g_ij = datum.gysin_mat(sigma, nu, i + j)
-                    for a in range(rt.dim(i)):
-                        xa = unit_vec(rt.dim(i), a)
-                        for b in range(rs.dim(j)):
-                            yb = unit_vec(rs.dim(j), b)
-                            rb = r_j.matvec(yb)
-                            # (c): g(a . r(b)) = g(a) . b
-                            if i + j <= 2 * dt:
-                                lhs = g_ij.matvec(rt.mul(i, j, xa, rb))
-                                rhs = rs.mul(i + 2, j, g_i.matvec(xa),
-                                             yb)
-                                if lhs != rhs:
-                                    okc = False
-                                    witc = ("projection formula fails "
-                                            "at (%d,%d)" % (i, j))
-                            # (d): t(g(a).b) = -t(a.r(b))
-                            if i + j == 2 * dt:
-                                lhs = datum.trace(
-                                    sigma, rs.mul(i + 2, j,
-                                                  g_i.matvec(xa), yb))
-                                rhs = -datum.trace(
-                                    tau, rt.mul(i, j, xa, rb))
-                                if lhs != rhs:
-                                    okd = False
-                                    witd = ("adjunction fails at "
-                                            "(%d,%d): %s != %s"
-                                            % (i, j, lhs, rhs))
-            report.add("projection-formula", wkey, okc, witc)
-            report.add("gysin-trace-adjunction", wkey, okd, witd)
+                for j in range(0, 2 * dt + 1 - i):
+                    if not (rt.dim(i) and rs.dim(j)):
+                        continue
+                    # a.r(b) = T'_ij (1 (x) R_j) and
+                    # g(a).b = T_{i+2,j} (G_i (x) 1)
+                    ar_b = rt.table(i, j) * kron(
+                        one(rt.dim(i)), datum.restrict_mat(sigma, tau, j))
+                    ga_b = rs.table(i + 2, j) * kron(g_i, one(rs.dim(j)))
+                    # (c): g(a . r(b)) = g(a) . b
+                    if datum.gysin_mat(sigma, nu, i + j) * ar_b != ga_b:
+                        witc = "projection formula fails at (%d,%d)" % (i, j)
+                    # (d): t(g(a).b) = -t(a.r(b)); the witness names the
+                    # last failing pair (a, b)
+                    if i + j == 2 * dt:
+                        diff = [(x, -y) for x, y in zip((t_s * ga_b).a[0],
+                                                        (t_t * ar_b).a[0])
+                                if x != -y]
+                        if diff:
+                            witd = "adjunction fails at (%d,%d): %s != %s" \
+                                % ((i, j) + diff[-1])
+            report.add("projection-formula", wkey, not witc, witc)
+            report.add("gysin-trace-adjunction", wkey, not witd, witd)
 
     return report
-
-
-def unit_vec(n, i):
-    v = [Q(0)] * n
-    v[i] = Q(1)
-    return v
 
 
 # fixtures
 
 def fixture_projective_space(n):
     """Single smooth component P^n."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("need dimension at least 1")
     label = "X"
     dims = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     mult = {}
@@ -826,6 +775,11 @@ def loads(text):
     labels = _parsed("components", _typed, list, data["components"])
     if not all(isinstance(x, str) for x in labels):
         raise StrataError("components: expected a list of names")
+    if not labels:
+        raise StrataError("components: empty")
+    dup = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
+    if dup is not None:
+        raise StrataError("components: duplicate label %r" % dup)
     rings = {}
     traces = {}
     ample = {}

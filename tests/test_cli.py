@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -207,21 +208,30 @@ def test_output_to_unwritable_path(tmp_path):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_misshaped_product_table_exits_1(tmp_path, flags):
-    """Shape errors are input errors, also when `python -O` strips
-    asserts: exit 1, the table's path in the message, no traceback."""
+    """Shape errors and missing tables are input errors, also when
+    `python -O` strips asserts: every command exits 1 with the table's
+    path in the message, no traceback."""
     datum = strata.fixture_product_with_p1(strata.fixture_cycle_of_p1(3))
     data = json.loads(strata.dumps(datum))
     row = data["strata"]["C0"]["products"]["2,2"][0]
-    for bad, got in ((row[:-1], "1x3"), (row + ["0"], "1x5")):
-        data["strata"]["C0"]["products"]["2,2"] = [bad]
+    for key, table, message in (
+            ("C0", [row[:-1]], "C0/products/2,2: expected 1x4, got 1x3"),
+            ("C0", [row + ["0"]], "C0/products/2,2: expected 1x4, got 1x5"),
+            ("C0,C1", None, "C0,C1/products/0,2: missing")):
+        bad = json.loads(json.dumps(data))
+        products = bad["strata"][key]["products"]
+        if table is None:
+            del products["0,2"]
+        else:
+            products["2,2"] = table
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        proc = _run_python(flags, ["-m", "limhodge.cli", "validate",
-                                   str(path)], tmp_path)
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert ("strata/C0/products/2,2: expected 1x4, got %s" % got
-                in proc.stdout)
-        assert "Traceback" not in proc.stdout + proc.stderr
+        path.write_text(json.dumps(bad))
+        for command in ("validate", "e1"):
+            proc = _run_python(flags, ["-m", "limhodge.cli", command,
+                                       str(path)], tmp_path)
+            assert proc.returncode == 1, proc.stdout + proc.stderr
+            assert proc.stdout == "error: strata/%s\n" % message
+            assert "Traceback" not in proc.stderr
 
 
 def _set(keys, value):
@@ -236,6 +246,11 @@ def _rename_gysin(data):
     data["gysin"]["C0C1"] = data["gysin"].pop("C0|C1")
 
 
+def _no_components(data):
+    data.clear()
+    data.update(n=1, components=[], strata={})
+
+
 @pytest.mark.parametrize("mutate, where", [
     (_set(["strata", "C0", "products", "0,0"], [["x"]]),
      "strata/C0/products/0,0: "),
@@ -244,8 +259,12 @@ def _rename_gysin(data):
     (_set(["restrictions", "C0|Z9"], {"0": [["1"]]}),
      "restrictions/C0|Z9: "),
     (_rename_gysin, "gysin/C0C1: "),
+    (_set(["components"], ["C0", "C1", "C2", "C0"]),
+     "components: duplicate label 'C0'"),
+    (_no_components, "components: empty"),
 ], ids=["bad-rational", "zero-denominator", "dims-not-a-list",
-        "unknown-stratum", "gysin-key-without-bar"])
+        "unknown-stratum", "gysin-key-without-bar", "duplicate-component",
+        "no-components"])
 def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
     data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(3)))
     mutate(data)
@@ -258,6 +277,36 @@ def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
             assert proc.returncode == 1, proc.stdout + proc.stderr
             assert proc.stdout.startswith("error: " + where), proc.stdout
             assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_fixture_with_bad_size_exits_1(tmp_path, flags):
+    for argv, message in (
+            (["cycle", "--components", "2"],
+             "error: --components 2: need at least 3 components\n"),
+            (["product", "--components", "1"],
+             "error: --components 1: need at least 3 components\n"),
+            (["projective", "--dim", "0"],
+             "error: --dim 0: need dimension at least 1\n")):
+        proc = _run_python(flags, ["-m", "limhodge.cli", "fixture"] + argv,
+                           tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, message, ""), argv
+    assert not list(tmp_path.iterdir())
+
+
+def test_no_assert_in_source():
+    """`python -O` strips asserts, so no check may rest on one."""
+    src = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_d1_squared_failure_is_reported_not_raised(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from limhodge.exactlin import (
     ConsistencyError, Matrix, Subspace, rref, rank, kernel, image, solve,
     quotient, inverse, is_positive_definite, determinant, rat_to_str,
-    rat_from_str, hstack, vstack, block_diag,
+    rat_from_str, hstack, vstack, block_diag, kron,
 )
 
 
@@ -474,3 +474,40 @@ def test_subspace_rejects_wrong_row_length():
     for rows in ([[1, 0]], [[1, 0, 0], [1, 0, 0, 0]]):
         with pytest.raises(ConsistencyError, match="length"):
             Subspace(3, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.data())
+def test_kron_matches_definition(r1, c1, r2, c2, data):
+    a = Matrix(r1, c1, data.draw(st.lists(
+        st.lists(mixed_entries, min_size=c1, max_size=c1),
+        min_size=r1, max_size=r1)))
+    b = Matrix(r2, c2, data.draw(any_rows(c2, max_rows=r2).filter(
+        lambda rows: len(rows) == r2)))
+    k = kron(a, b)
+    assert (k.rows, k.cols) == (r1 * r2, c1 * c2)
+    assert k.a == [[a.a[i][j] * b.a[p][q] for j in range(c1)
+                    for q in range(c2)]
+                   for i in range(r1) for p in range(r2)]
+    assert is_fraction_matrix(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_solve_with_matrix_right_side_solves_by_columns(rows, cols, k, data):
+    """Each column of the Matrix answer is the vector answer for that
+    column; None as soon as one column has no solution."""
+    m = Matrix(rows, cols, data.draw(any_rows(cols, max_rows=rows).filter(
+        lambda r: len(r) == rows)))
+    b = Matrix(rows, k, data.draw(st.lists(
+        st.lists(mixed_entries, min_size=k, max_size=k),
+        min_size=rows, max_size=rows)))
+    by_column = [solve(m, [row[j] for row in b.a]) for j in range(k)]
+    x = solve(m, b)
+    if any(col is None for col in by_column):
+        assert x is None
+    else:
+        assert (x.rows, x.cols) == (cols, k)
+        assert x.a == [[col[i] for col in by_column] for i in range(cols)]
+        assert m * x == b

@@ -1,4 +1,5 @@
 import copy
+import os
 import json
 from fractions import Fraction as Q
 
@@ -228,6 +229,9 @@ def test_load_rejects_misshaped_tables():
          "restrictions/C0|C0,C1/2: expected 1x2, got 0x2"),
         (("gysin", "C0|C1", "0"), lambda m: [r + ["0"] for r in m],
          "gysin/C0|C1/0: expected 2x1, got 2x2"),
+        (("strata", "C0,C1", "products"),
+         lambda m: {ij: t for ij, t in m.items() if ij != "0,2"},
+         "strata/C0,C1/products/0,2: missing"),
     ]
     for path, mutate, message in cases:
         d2 = copy.deepcopy(data)
@@ -244,3 +248,120 @@ def test_kunneth_of_valid_is_valid():
     d = fixture_product_with_p1(fixture_projective_space(1))
     rep = validate(d)
     assert all_checks_pass(rep), [r for r in rep if not r["ok"]]
+
+
+# Single-entry mutations of fixture JSON and every failure `validate`
+# must report for each, in report order. The witness of a check names
+# the last failing degree tuple; the adjunction's names the values at
+# its last failing basis pair.
+WITNESS_FIXTURES = {
+    "cycle3": lambda: fixture_cycle_of_p1(3),
+    "cycle3xp1": lambda: fixture_product_with_p1(fixture_cycle_of_p1(3)),
+}
+PINNED_WITNESSES = {
+    "unit": ("cycle3", ("strata", "C0,C1", "products", "0,0", 0, 0), "2", [
+        ("ring-axioms", "C0,C1", "unit fails in degree 0"),
+        ("restriction-ring-map", "C0->C0,C1",
+         "not a ring map at degrees (0,0)"),
+        ("restriction-ring-map", "C1->C0,C1",
+         "not a ring map at degrees (0,0)"),
+        ("projection-formula", "C0|C1", "projection formula fails at (0,0)"),
+        ("gysin-trace-adjunction", "C0|C1",
+         "adjunction fails at (0,0): -1 != -2"),
+        ("projection-formula", "C1|C0", "projection formula fails at (0,0)"),
+        ("gysin-trace-adjunction", "C1|C0",
+         "adjunction fails at (0,0): -1 != -2")]),
+    "commutativity": (
+        "cycle3xp1", ("strata", "C0", "products", "2,2", 0, 2), "2", [
+            ("ring-axioms", "C0", "commutativity fails at (2,2)")]),
+    "associativity": (
+        "cycle3", ("strata", "C0", "products", "0,2", 0, 0), "2", [
+            ("ring-axioms", "C0", "associativity fails at (0,0,2)")]),
+    "degenerate-pairing": ("cycle3", ("strata", "C0,C1", "trace", 0), "0", [
+        ("poincare-duality", "C0,C1", "degenerate pairing in degree 0"),
+        ("hodge-riemann", "C0,C1", "primitive form not positive in degree 0"),
+        ("gysin-trace-adjunction", "C0|C1",
+         "adjunction fails at (0,0): -1 != 0"),
+        ("gysin-trace-adjunction", "C1|C0",
+         "adjunction fails at (0,0): -1 != 0")]),
+    "hard-lefschetz": (
+        "cycle3xp1", ("strata", "C0", "products", "2,2", 0, 3), "-2", [
+            ("hard-lefschetz", "C0", "l^2 not an isomorphism"),
+            ("hodge-riemann", "C0",
+             "primitive form not positive in degree 2")]),
+    "primitive-form": ("cycle3", ("strata", "C0", "ample", 0), "-1", [
+        ("hodge-riemann", "C0", "primitive form not positive in degree 0")]),
+    "ring-map": ("cycle3", ("strata", "C0", "products", "0,0", 0, 0), "0", [
+        ("ring-axioms", "C0", "associativity fails at (2,0,0)"),
+        ("restriction-ring-map", "C0->C0,C1",
+         "not a ring map at degrees (0,0)"),
+        ("restriction-ring-map", "C0->C0,C2",
+         "not a ring map at degrees (0,0)")]),
+    "unit-not-preserved": (
+        "cycle3", ("restrictions", "C0|C0,C1", "0", 0, 0), "0", [
+            ("restriction-ring-map", "C0->C0,C1", "unit not preserved"),
+            ("projection-formula", "C0|C1",
+             "projection formula fails at (0,0)"),
+            ("gysin-trace-adjunction", "C0|C1",
+             "adjunction fails at (0,0): -1 != 0")]),
+    "ample-restriction": ("cycle3xp1", ("strata", "C0", "ample", 1), "2", [
+        ("ample-restriction", "C0->C0,C1", "restricted ample class differs"),
+        ("ample-restriction", "C0->C0,C2", "restricted ample class differs")]),
+    "projection-formula": (
+        "cycle3xp1", ("gysin", "C0|C1", "0", 0, 0), "0", [
+            ("projection-formula", "C0|C1",
+             "projection formula fails at (0,2)"),
+            ("gysin-trace-adjunction", "C0|C1",
+             "adjunction fails at (0,2): 0 != -1")]),
+    "adjunction-second-row": (
+        "cycle3xp1", ("gysin", "C0|C1", "0", 1, 0), "3", [
+            ("projection-formula", "C0|C1",
+             "projection formula fails at (0,2)"),
+            ("gysin-trace-adjunction", "C0|C1",
+             "adjunction fails at (0,2): 3 != 0")]),
+    "adjunction-top-degree": (
+        "cycle3xp1", ("gysin", "C0|C1", "2", 0, 0), "1/2", [
+            ("projection-formula", "C0|C1",
+             "projection formula fails at (0,2)"),
+            ("gysin-trace-adjunction", "C0|C1",
+             "adjunction fails at (2,0): 1/2 != -1")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_WITNESSES))
+def test_validate_witnesses_are_pinned(case):
+    fixture, path, value, expected = PINNED_WITNESSES[case]
+    data = json.loads(dumps(WITNESS_FIXTURES[fixture]()))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    rep = validate(loads(json.dumps(data)))
+    assert [(c["check"], c["where"], c["witness"])
+            for c in rep if not c["ok"]] == expected
+
+
+def test_readme_input_example_validates():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    d = loads(block)
+    rep = validate(d)
+    assert len(rep) == 20 and all_checks_pass(rep), rep
+
+
+def test_gram_is_the_trace_of_products():
+    d = fixture_product_with_p1(fixture_product_with_p1(
+        fixture_cycle_of_p1(3)))
+    for s in d.nerve:
+        ring, tr = d.ring(s), d.trace_vec(s)
+        for i in range(ring.top + 1):
+            j = ring.top - i
+            unit = Matrix.identity
+            expected = [[sum(t * v for t, v in zip(tr, ring.mul(i, j, x, y)))
+                         for y in unit(ring.dim(j)).a]
+                        for x in unit(ring.dim(i)).a]
+            g = ring.gram(i, j, tr)
+            assert (g.rows, g.cols, g.a) == (ring.dim(i), ring.dim(j),
+                                             expected)
