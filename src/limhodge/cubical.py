@@ -300,21 +300,15 @@ class CechComplex:
             # (-1)^k partial: same cell index, l -> l+1
             t = tgt_blocks.get((k, idx))
             if t is not None:
-                s = Q(1) if k % 2 == 0 else Q(-1)
-                dmat = stalk.diff(l)
-                for i in range(dmat.rows):
-                    for j in range(sz):
-                        if dmat.a[i][j] != 0:
-                            m.a[t[0] + i][off + j] += s * dmat.a[i][j]
+                m.add_block(t[0], off, stalk.diff(l), 1 if k % 2 == 0 else -1)
             # delta part: Čech degree k -> k+1
             if self.model == "ordered":
-                self._delta_ordered(m, n, k, idx, l, off, sz, tgt_blocks)
+                self._delta_ordered(m, k, idx, l, off, tgt_blocks)
             else:
-                self._delta_alternating(m, n, k, idx, l, off, sz,
-                                        tgt_blocks)
+                self._delta_alternating(m, k, idx, l, off, tgt_blocks)
         return m
 
-    def _delta_ordered(self, m, n, k, lam, l, off, sz, tgt_blocks):
+    def _delta_ordered(self, m, k, lam, l, off, tgt_blocks):
         # component of delta(f) at mu with mu_i = lam: insert any label
         # at position i
         for mu_k, mu in [(kk, ii) for (kk, ii) in tgt_blocks
@@ -326,13 +320,9 @@ class CechComplex:
                     mat = kmap.get(l)
                     if mat is None:
                         continue
-                    toff, _ = tgt_blocks[(k + 1, mu)]
-                    for r in range(mat.rows):
-                        for c in range(sz):
-                            if mat.a[r][c] != 0:
-                                m.a[toff + r][off + c] += sgn * mat.a[r][c]
+                    m.add_block(tgt_blocks[(k + 1, mu)][0], off, mat, sgn)
 
-    def _delta_alternating(self, m, n, k, a, l, off, sz, tgt_blocks):
+    def _delta_alternating(self, m, k, a, l, off, tgt_blocks):
         for nu in self.ix.labels:
             if nu in a:
                 continue
@@ -344,10 +334,7 @@ class CechComplex:
             mat = self.K.map(a, b).get(l)
             if mat is None:
                 continue
-            for r in range(mat.rows):
-                for c in range(sz):
-                    if mat.a[r][c] != 0:
-                        m.a[t[0] + r][off + c] += sgn * mat.a[r][c]
+            m.add_block(t[0], off, mat, sgn)
 
 
 def cech(K, model):
@@ -371,17 +358,13 @@ def cech_filtration(cechc, filts, delta=False):
         layer = {}
         for n, blks in cechc.blocks.items():
             rows = []
-            dimn = cechc.total.dim(n)
             for k, idx, l, off, sz in blks:
                 sigma = idx if isinstance(idx, frozenset) else frozenset(idx)
                 eff = mlevel + (k if delta else 0)
                 sub = filts[sigma].w_sub(eff, l)
-                for brow in sub.basis.to_lists():
-                    v = [Q(0)] * dimn
-                    for j, x in enumerate(brow):
-                        v[off + j] = x
-                    rows.append(v)
-            layer[n] = Subspace(dimn, rows)
+                rows += [{off + j: x for j, x in brow.items()}
+                         for brow in sub.basis.nz]
+            layer[n] = Subspace.span(cechc.total.dim(n), rows)
         w[mlevel] = layer
     return FilteredComplex(cechc.total, w)
 
@@ -402,9 +385,8 @@ def antisymmetrize(cech_ord, cech_alt):
             t = tgt.get((k, a))
             if t is None:
                 continue
-            coeff = Q(orientation_sign(ix, lam), factorial(k + 1))
-            for i in range(sz):
-                m.a[t[0] + i][off + i] += coeff
+            m.add_block(t[0], off, Matrix.identity(sz),
+                        Q(orientation_sign(ix, lam), factorial(k + 1)))
         comps[n] = m
     return ChainMap(cech_ord.total, cech_alt.total, comps)
 
@@ -453,20 +435,14 @@ def tau(cech_k, cech_l, cech_kl):
                     stoff = tensor_offsets(kl_stalk_k, kl_stalk_l,
                                            a + b)[(a, b)]
                     dlb = kl_stalk_l.dim(b)
-                    for i1 in range(kmat.rows):
-                        for j1 in range(szk):
-                            c1 = kmat.a[i1][j1]
-                            if c1 == 0:
-                                continue
-                            for i2 in range(lmat.rows):
-                                for j2 in range(szl):
-                                    c2 = lmat.a[i2][j2]
-                                    if c2 == 0:
-                                        continue
+                    for i1, row1 in enumerate(kmat.nz):
+                        for j1, c1 in row1.items():
+                            for i2, row2 in enumerate(lmat.nz):
+                                for j2, c2 in row2.items():
                                     row = toff + stoff + i1 * dlb + i2
                                     col = so + (offk + j1) * \
                                         cech_l.total.dim(q) + offl + j2
-                                    m.a[row][col] += sgn * c1 * c2
+                                    m[row, col] += sgn * c1 * c2
         comps[n] = m
     return ChainMap(src, tgt, comps)
 

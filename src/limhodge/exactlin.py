@@ -1,18 +1,18 @@
-"""Exact rational linear algebra: dense matrices over Q, echelon forms,
+"""Exact rational linear algebra: sparse matrices over Q, echelon forms,
 kernels, quotients, and exact positive definiteness.
 
-All elimination runs through one engine, `Echelon`, an incremental
-reduced row basis with sparse rows: a row keeps only its nonzero
-entries, so a reduction step costs in the entries it touches, not in
-the width. `quotient` reads its projection off one such reduction and
-forms no inverse. All arithmetic uses fractions.Fraction; no floating
-point anywhere.
+A matrix keeps each row as a dict of its nonzero entries, and so does
+the one elimination engine, `Echelon`, an incremental reduced row
+basis. So a product, a sum, a stack or a reduction step costs in the
+entries it touches, not in the width. `quotient` reads its projection
+off one such reduction and forms no inverse. All arithmetic uses
+fractions.Fraction; no floating point anywhere.
 """
 
-import operator
 from fractions import Fraction
 
 Q = Fraction
+ZERO, ONE = Q(0), Q(1)
 
 
 class ConsistencyError(AssertionError):
@@ -38,37 +38,76 @@ def rat_from_str(s):
     return Fraction(s)
 
 
-class Matrix:
-    """Dense row-major matrix of Fractions."""
+def _sparse(v):
+    """The sparse row of the dense vector v: {index: Fraction} of its
+    nonzero entries."""
+    out = {}
+    for j, x in enumerate(v):
+        if type(x) is not Q:
+            x = Q(x)
+        if x:
+            out[j] = x
+    return out
 
-    __slots__ = ("rows", "cols", "a")
+
+def _dense(row, width, zero=ZERO):
+    out = [zero] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _axpy(w, f, row, shift=0):
+    """w += f * row on sparse rows, the columns of row moved right by
+    shift; an entry that cancels is dropped. A factor of 1 or -1, the
+    common case, multiplies nothing."""
+    one, minus_one = f == 1, f == -1
+    for j, y in row.items():
+        j += shift
+        x = w.get(j)
+        if x is None:
+            w[j] = y if one else -y if minus_one else f * y
+        else:
+            x = x + y if one else x - y if minus_one else x + f * y
+            if x:
+                w[j] = x
+            else:
+                del w[j]
+
+
+class Matrix:
+    """Row-major matrix over Q with sparse rows: `nz[i]` is the dict
+    {column: Fraction} of the nonzero entries of row i. No entry is
+    ever stored as 0, so equal matrices have equal rows; every writer
+    drops the entries that cancel."""
+
+    __slots__ = ("rows", "cols", "nz")
 
     def __init__(self, rows, cols, entries=None):
+        """The zero matrix, or the one of the dense rows `entries`."""
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self.a = [[Q(0)] * cols for _ in range(rows)]
+            self.nz = [{} for _ in range(rows)]
         else:
             _require(len(entries) == rows and all(
                 len(row) == cols for row in entries),
                 "Matrix: entries are not %dx%d", rows, cols)
-            self.a = [[Q(x) for x in row] for row in entries]
+            self.nz = [_sparse(row) for row in entries]
 
     @classmethod
-    def _raw(cls, rows, cols, a):
-        """Internal: wrap an entry table that is already Fractions."""
+    def from_sparse(cls, cols, nz):
+        """The matrix of width cols with the sparse rows nz: dicts of
+        nonzero Fractions, which the matrix then owns."""
         m = cls.__new__(cls)
-        m.rows = rows
+        m.rows = len(nz)
         m.cols = cols
-        m.a = a
+        m.nz = nz
         return m
 
     @classmethod
     def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.a[i][i] = Q(1)
-        return m
+        return cls.from_sparse(n, [{i: ONE} for i in range(n)])
 
     @classmethod
     def zero(cls, rows, cols):
@@ -81,72 +120,107 @@ class Matrix:
             return cls(0, cols)
         return cls(len(rows_list), len(rows_list[0]), rows_list)
 
+    @property
+    def a(self):
+        """A dense read-only view: a tuple of tuples, built per read."""
+        return tuple(tuple(row) for row in self.to_lists())
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.a) == (other.rows, other.cols, other.a)
+        return (self.rows, self.cols, self.nz) == (other.rows, other.cols,
+                                                   other.nz)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.a)))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self.nz)))
 
     def __repr__(self):
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols,
-                                       [[str(x) for x in r] for r in self.a])
+                                       [[str(x) for x in r]
+                                        for r in self.to_lists()])
+
+    def _cell(self, ij):
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%d,%d) of a %dx%d matrix"
+                             % (i, j, self.rows, self.cols))
+        return self.nz[i], j
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.a[i][j]
+        row, j = self._cell(ij)
+        return row.get(j, ZERO)
 
     def __setitem__(self, ij, v):
-        i, j = ij
-        self.a[i][j] = Q(v)
+        row, j = self._cell(ij)
+        v = Q(v)
+        if v:
+            row[j] = v
+        else:
+            row.pop(j, None)
+
+    def add_block(self, i0, j0, block, coeff=1):
+        """Add coeff * block, coeff an int or Fraction, to the entries
+        from (i0, j0) on."""
+        _require(i0 + block.rows <= self.rows and j0 + block.cols
+                 <= self.cols, "a %dx%d block at (%d,%d) of a %dx%d matrix",
+                 block.rows, block.cols, i0, j0, self.rows, self.cols)
+        if coeff:
+            for i, brow in enumerate(block.nz):
+                _axpy(self.nz[i0 + i], coeff, brow, j0)
+
+    def columns(self, lo, hi):
+        """The submatrix of the columns lo, ..., hi - 1."""
+        return Matrix.from_sparse(hi - lo, [
+            {j - lo: x for j, x in row.items() if lo <= j < hi}
+            for row in self.nz])
 
     def row(self, i):
-        return list(self.a[i])
+        return _dense(self.nz[i], self.cols)
 
     def transpose(self):
-        return Matrix._raw(self.cols, self.rows,
-                           [[self.a[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nz):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix.from_sparse(self.rows, out)
 
-    def _entrywise(self, other, op):
+    def _plus(self, other, c):
         _require((self.rows, self.cols) == (other.rows, other.cols),
                  "%dx%d and %dx%d matrix: shapes differ", self.rows, self.cols,
                  other.rows, other.cols)
-        return Matrix._raw(self.rows, self.cols,
-                           [[op(x, y) for x, y in zip(r, s)]
-                            for r, s in zip(self.a, other.a)])
+        out = [dict(row) for row in self.nz]
+        for row, orow in zip(out, other.nz):
+            _axpy(row, c, orow)
+        return Matrix.from_sparse(self.cols, out)
 
     def __add__(self, other):
-        return self._entrywise(other, operator.add)
+        return self._plus(other, ONE)
 
     def __sub__(self, other):
-        return self._entrywise(other, operator.sub)
+        return self._plus(other, -ONE)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         c = Q(c)
-        return Matrix._raw(self.rows, self.cols,
-                           [[c * x for x in row] for row in self.a])
+        return Matrix.from_sparse(self.cols, [
+            {j: c * x for j, x in row.items()} if c else {}
+            for row in self.nz])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             _require(self.cols == other.rows, "%dx%d times %dx%d matrix",
                      self.rows, self.cols, other.rows, other.cols)
-            other_nz = [[(j, v) for j, v in enumerate(row) if v]
-                        for row in other.a]
-            zero = Q(0)
-            out = [[zero] * other.cols for _ in range(self.rows)]
-            for i, row in enumerate(self.a):
-                oi = out[i]
-                for k, x in enumerate(row):
-                    if not x:
-                        continue
-                    for j, y in other_nz[k]:
-                        oi[j] = oi[j] + x * y
-            return Matrix._raw(self.rows, other.cols, out)
+            onz = other.nz
+            out = []
+            for row in self.nz:
+                acc = {}
+                for k, x in row.items():
+                    _axpy(acc, x, onz[k])
+                out.append(acc)
+            return Matrix.from_sparse(other.cols, out)
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -155,88 +229,81 @@ class Matrix:
     def matvec(self, v):
         _require(len(v) == self.cols, "matvec: vector of length %d for a "
                  "%dx%d matrix", len(v), self.rows, self.cols)
-        nz = [(j, Q(x)) for j, x in enumerate(v) if x != 0]
+        x = _sparse(v)
         out = []
-        for row in self.a:
-            s = Q(0)
-            for j, x in nz:
-                y = row[j]
-                if y:
-                    s += y * x
+        for row in self.nz:
+            s = ZERO
+            for j, y in row.items():
+                xj = x.get(j)
+                if xj is not None:
+                    s += y * xj
             out.append(s)
         return out
 
     def is_zero(self):
-        return all(x == 0 for row in self.a for x in row)
+        return not any(self.nz)
 
     def to_lists(self):
-        return [list(r) for r in self.a]
+        return [_dense(row, self.cols) for row in self.nz]
 
     def to_json(self):
-        return [[rat_to_str(x) for x in row] for row in self.a]
+        return [_dense({j: rat_to_str(x) for j, x in row.items()},
+                       self.cols, "0") for row in self.nz]
 
     @classmethod
     def from_json(cls, data, cols=0):
         """Matrix from rows of rational strings; `cols` is the width of
-        the empty list, which has no row to take it from."""
+        the empty list, which has no row to take it from. A ragged
+        table from a file is an input error, which the strata loader
+        reports with its path before it gets here."""
         if not data:
             return cls(0, cols)
-        # Rows are not checked here: a ragged table from a file is an
-        # input error, which the strata loader reports with its path.
-        return cls._raw(len(data), len(data[0]),
-                        [[rat_from_str(x) for x in row] for row in data])
+        _require(all(len(row) == len(data[0]) for row in data),
+                 "Matrix.from_json: ragged rows")
+        # Most entries are "0", as rat_to_str writes 0: skip its parse.
+        return cls.from_sparse(len(data[0]), [
+            {j: q for j, x in enumerate(row) if x != "0" and (q := Q(x))}
+            for row in data])
 
 
 def block_diag(blocks):
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    m = Matrix(rows, cols)
-    i0 = j0 = 0
+    nz = []
+    j0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                m.a[i0 + i][j0 + j] = b.a[i][j]
-        i0 += b.rows
+        nz += [{j0 + j: x for j, x in row.items()} for row in b.nz]
         j0 += b.cols
-    return m
+    return Matrix.from_sparse(j0, nz)
 
 
 def kron(a, b):
     """Kronecker product: the entry (i*b.rows + k, j*b.cols + l) is
-    a[i][j] * b[k][l]. Zero entries of either factor are skipped."""
-    m = Matrix(a.rows * b.rows, a.cols * b.cols)
-    b_nz = [[(l, y) for l, y in enumerate(row) if y] for row in b.a]
-    for i, row in enumerate(a.a):
-        for j, x in enumerate(row):
-            if not x:
-                continue
-            for k, nz in enumerate(b_nz):
-                out = m.a[i * b.rows + k]
-                for l, y in nz:
-                    out[j * b.cols + l] = x * y
-    return m
+    a[i, j] * b[k, l]. Only products of nonzero entries are formed, and
+    none with a factor 1, as in a Kronecker product with an identity."""
+    return Matrix.from_sparse(a.cols * b.cols, [
+        {j * b.cols + l: y if x == 1 else x if y == 1 else x * y
+         for j, x in row.items() for l, y in brow.items()}
+        for row in a.nz for brow in b.nz])
 
 
 def hstack(blocks):
     rows = blocks[0].rows
     _require(all(b.rows == rows for b in blocks),
              "hstack: blocks of different heights")
-    m = Matrix(rows, sum(b.cols for b in blocks))
+    nz = [{} for _ in range(rows)]
     j0 = 0
     for b in blocks:
-        for i in range(rows):
-            for j in range(b.cols):
-                m.a[i][j0 + j] = b.a[i][j]
+        for row, brow in zip(nz, b.nz):
+            row.update((j0 + j, x) for j, x in brow.items())
         j0 += b.cols
-    return m
+    return Matrix.from_sparse(j0, nz)
 
 
 def vstack(blocks):
     cols = blocks[0].cols
     _require(all(b.cols == cols for b in blocks),
              "vstack: blocks of different widths")
-    return Matrix.from_rows([row for b in blocks for row in b.to_lists()],
-                            cols=cols)
+    return Matrix.from_sparse(cols, [dict(row) for b in blocks
+                                     for row in b.nz])
 
 
 class Echelon:
@@ -247,41 +314,42 @@ class Echelon:
 
     Rows are sparse: `rows` maps each pivot, in the order the rows came
     in until `reduced` sorts them, to a dict of the row's nonzero
-    entries right of the pivot (the 1 at the pivot is implied). An
-    entry becomes a Fraction once, when its row enters."""
+    entries right of the pivot (the 1 at the pivot is implied).
+    `Echelon(width, rows)` starts from sparse rows, such as a matrix's
+    `nz`."""
 
     __slots__ = ("width", "rows")
 
     def __init__(self, width, rows=()):
         self.width = width
         self.rows = {}
-        for v in rows:
-            self.add(v)
+        for w in rows:
+            self.insert(self.residual(w))
 
-    def residual(self, v):
-        """v minus its component in the span, as a dict of its nonzero
-        entries: none at a pivot, and none at all exactly when v lies in
-        the span. The rows are reduced, so v[p] is the factor of the row
-        of every pivot p."""
-        _require(len(v) == self.width, "Echelon: a row of length %d in Q^%d",
-                 len(v), self.width)
-        w = {j: x if type(x) is Q else Q(x) for j, x in enumerate(v) if x}
+    def residual(self, w):
+        """The sparse row w minus its component in the span, as a new
+        dict of its nonzero entries: none at a pivot, and none at all
+        exactly when w lies in the span. The rows are reduced, so w[p]
+        is the factor of the row of every pivot p."""
+        w = dict(w)
         rows = self.rows
         for p in [p for p in w if p in rows]:
-            _sub_scaled(w, w.pop(p), rows[p])
+            _axpy(w, -w.pop(p), rows[p])
         return w
 
     def add(self, v):
-        """Add v to the span. Returns the first nonzero entry of its
-        residual (the new pivot value before scaling), or 0 if v is
-        already in the span."""
-        return self.insert(self.residual(v))
+        """Add the dense vector v to the span. Returns the first nonzero
+        entry of its residual (the new pivot value before scaling), or 0
+        if v is already in the span."""
+        _require(len(v) == self.width, "Echelon: a row of length %d in Q^%d",
+                 len(v), self.width)
+        return self.insert(self.residual(_sparse(v)))
 
     def insert(self, w):
-        """`add` for a residual as `residual` returns it, which the
-        engine then owns."""
+        """Add a residual, as `residual` returns it, which the engine
+        then owns; returns its pivot value before scaling, or 0."""
         if not w:
-            return Q(0)
+            return ZERO
         p = min(w)
         f = w.pop(p)
         if f != 1:
@@ -289,49 +357,29 @@ class Echelon:
         for row in self.rows.values():
             g = row.pop(p, None)
             if g is not None:
-                _sub_scaled(row, g, w)
+                _axpy(row, -g, w)
         self.rows[p] = w
         return f
 
     def reduced(self):
-        """Sort the rows by pivot and return (rows, pivots): the RREF
-        basis of the span, as dense rows of Fractions."""
+        """Sort the rows by pivot and return them as a Matrix: the RREF
+        basis of the span."""
         self.rows = dict(sorted(self.rows.items()))
-        zero, one = Q(0), Q(1)
-        dense = []
-        for p, row in self.rows.items():
-            d = [zero] * self.width
-            d[p] = one
-            for j, x in row.items():
-                d[j] = x
-            dense.append(d)
-        return dense, list(self.rows)
-
-
-def _sub_scaled(w, f, row):
-    """w -= f * row on sparse rows, dropping the entries that cancel."""
-    for j, y in row.items():
-        x = w.get(j)
-        if x is None:
-            w[j] = -f * y
-        else:
-            x -= f * y
-            if x:
-                w[j] = x
-            else:
-                del w[j]
+        return Matrix.from_sparse(self.width, [
+            {p: ONE, **row} for p, row in self.rows.items()])
 
 
 def rref(m):
     """Reduced row echelon form: (R, pivots) with R the m.rows x m.cols
     RREF (zero rows last) and pivots the tuple of pivot columns."""
-    rows, pivots = Echelon(m.cols, m.a).reduced()
-    zeros = [[Q(0)] * m.cols for _ in range(m.rows - len(rows))]
-    return Matrix._raw(m.rows, m.cols, rows + zeros), tuple(pivots)
+    ech = Echelon(m.cols, m.nz)
+    rows = ech.reduced().nz
+    rows += [{} for _ in range(m.rows - len(rows))]
+    return Matrix.from_sparse(m.cols, rows), tuple(ech.rows)
 
 
 def rank(m):
-    return len(Echelon(m.cols, m.a).rows)
+    return len(Echelon(m.cols, m.nz).rows)
 
 
 class Subspace:
@@ -344,18 +392,31 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "_echelon")
 
     def __init__(self, ambient_dim, basis_rows):
-        self.ambient_dim = ambient_dim
-        self._echelon = Echelon(ambient_dim, basis_rows)
-        rows, _ = self._echelon.reduced()
-        self.basis = Matrix._raw(len(rows), ambient_dim, rows)
+        """The span of the dense vectors basis_rows."""
+        ech = Echelon(ambient_dim)
+        for v in basis_rows:
+            ech.add(v)
+        self._take(ech)
+
+    @classmethod
+    def span(cls, ambient_dim, rows):
+        """The span of sparse rows, such as a matrix's `nz`."""
+        s = cls.__new__(cls)
+        s._take(Echelon(ambient_dim, rows))
+        return s
+
+    def _take(self, ech):
+        self.ambient_dim = ech.width
+        self._echelon = ech
+        self.basis = ech.reduced()
 
     @classmethod
     def full(cls, n):
-        return cls(n, Matrix.identity(n).to_lists())
+        return cls.span(n, Matrix.identity(n).nz)
 
     @classmethod
     def zero(cls, n):
-        return cls(n, [])
+        return cls.span(n, [])
 
     @property
     def dim(self):
@@ -376,11 +437,13 @@ class Subspace:
                  other.ambient_dim)
 
     def contains_vector(self, v):
-        return not self._echelon.residual(v)
+        _require(len(v) == self.ambient_dim, "a vector of length %d in "
+                 "Q^%d", len(v), self.ambient_dim)
+        return not self._echelon.residual(_sparse(v))
 
     def contains(self, other):
         self._require_same_ambient(other)
-        return not any(self._echelon.residual(row) for row in other.basis.a)
+        return not any(self._echelon.residual(row) for row in other.basis.nz)
 
     def coords(self, v):
         """Coefficients of v in the RREF basis; error if v not in self."""
@@ -389,8 +452,8 @@ class Subspace:
 
     def sum(self, other):
         self._require_same_ambient(other)
-        return Subspace(self.ambient_dim,
-                        self.basis.to_lists() + other.basis.to_lists())
+        return Subspace.span(self.ambient_dim,
+                             self.basis.nz + other.basis.nz)
 
     def intersect(self, other):
         return self.preimage_under(Matrix.identity(self.ambient_dim), other)
@@ -399,7 +462,7 @@ class Subspace:
         """Image of this subspace under the linear map with matrix m."""
         _require(m.cols == self.ambient_dim, "image of Q^%d under a %dx%d "
                  "matrix", self.ambient_dim, m.rows, m.cols)
-        return Subspace(m.rows, [m.matvec(row) for row in self.basis.to_lists()])
+        return Subspace.span(m.rows, (self.basis * m.transpose()).nz)
 
     def preimage_under(self, m, target):
         """{x : m·x ∈ target} intersected with self."""
@@ -407,29 +470,28 @@ class Subspace:
                  "preimage in Q^%d of Q^%d under a %dx%d matrix",
                  self.ambient_dim, target.ambient_dim, m.rows, m.cols)
         # Solve over self's coordinates: m·B1ᵀ·a = B2ᵀ·b for some b.
-        b1t = self.basis.transpose()
-        k = kernel(hstack([m * b1t, -target.basis.transpose()]))
-        return Subspace(self.ambient_dim,
-                        [b1t.matvec(krow[:self.dim]) for krow in k.basis.a])
+        k = kernel(hstack([m * self.basis.transpose(),
+                           -target.basis.transpose()]))
+        coords = k.basis.columns(0, self.dim)
+        return Subspace.span(self.ambient_dim, (coords * self.basis).nz)
 
 
 def kernel(m):
-    """Subspace {x : m·x = 0} of Q^cols."""
+    """Subspace {x : m·x = 0} of Q^cols: per free column c, the vector
+    with 1 at c and minus column c of the RREF at the pivots."""
     r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    rows = []
-    for fc in free:
-        v = [Q(0)] * m.cols
-        v[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r.a[i][fc]
-        rows.append(v)
-    return Subspace(m.cols, rows)
+    pivot_set = set(pivots)
+    free = {c: {c: ONE} for c in range(m.cols) if c not in pivot_set}
+    for pc, row in zip(pivots, r.nz):
+        for c, x in row.items():
+            if c != pc:
+                free[c][pc] = -x
+    return Subspace.span(m.cols, list(free.values()))
 
 
 def image(m):
     """Column space of m as a Subspace of Q^rows."""
-    return Subspace(m.rows, m.transpose().to_lists())
+    return Subspace.span(m.rows, m.transpose().nz)
 
 
 def solve(m, b):
@@ -446,9 +508,9 @@ def solve(m, b):
     if pivots and pivots[-1] >= m.cols:
         return None
     x = Matrix(m.cols, b.cols)
-    for i, pc in enumerate(pivots):
-        x.a[pc] = r.a[i][m.cols:]
-    return [row[0] for row in x.a] if vector else x
+    for pc, row in zip(pivots, r.columns(m.cols, r.cols).nz):
+        x.nz[pc] = row
+    return [row.get(0, ZERO) for row in x.nz] if vector else x
 
 
 def quotient(sub, by):
@@ -469,33 +531,33 @@ def quotient(sub, by):
         raise ValueError("not a subspace")
     n = sub.ambient_dim
     q = sub.dim - by.dim
-    zero = Q(0)
-    no_image = [zero] * q
     ech = Echelon(n + q)
 
-    def extends(v, image):
-        """Add (v | image) if v is not in the span of the rows so far;
+    def extends(v, image=None):
+        """Add (v | e_image) if v is not in the span of the rows so far;
         no pivot lies past column n, so the first n columns decide."""
-        w = ech.residual(v + image)
+        w = ech.residual(v if image is None else {**v, n + image: ONE})
         if min(w, default=n) >= n:
             return False
         ech.insert(w)
         return True
 
-    for row in by.basis.a:
-        extends(row, no_image)
+    for row in by.basis.nz:
+        extends(row)
     # Rows of sub after the q-th c do not extend the span; their image
     # is 0.
-    images = Matrix.identity(q).a + [no_image]
     c_rows = []
-    for row in sub.basis.a:
-        if extends(row, images[len(c_rows)]):
+    for row in sub.basis.nz:
+        if extends(row, len(c_rows) if len(c_rows) < q else None):
             c_rows.append(row)
-    for e in Matrix.identity(n).a:
-        extends(e, no_image)
-    proj = Matrix._raw(q, n, [[ech.rows[p].get(n + i, zero) for p in range(n)]
-                              for i in range(q)])
-    section = Matrix._raw(q, n, c_rows).transpose()
+    for e in range(n):
+        extends({e: ONE})
+    proj = [{} for _ in range(q)]
+    for p, row in ech.rows.items():
+        for j, x in row.items():
+            proj[j - n][p] = x
+    proj = Matrix.from_sparse(n, proj)
+    section = Matrix.from_sparse(n, c_rows).transpose()
     _require(proj * section == Matrix.identity(q),
              "quotient: projection∘section is not 1")
     return q, proj, section
@@ -506,7 +568,7 @@ def inverse(m):
     n = m.rows
     r, pivots = rref(hstack([m, Matrix.identity(n)]))
     _require(pivots == tuple(range(n)), "inverse: matrix not invertible")
-    return Matrix.from_rows([row[n:] for row in r.to_lists()], cols=n)
+    return r.columns(n, 2 * n)
 
 
 def is_positive_definite(sym):
@@ -518,18 +580,16 @@ def is_positive_definite(sym):
     """
     if sym.rows != sym.cols:
         raise ValueError("matrix not square")
-    n = sym.rows
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sym.a[i][j] != sym.a[j][i]:
-                raise ValueError("matrix not symmetric")
-    ech = Echelon(n)
-    for k, row in enumerate(sym.a):
+    if sym != sym.transpose():
+        raise ValueError("matrix not symmetric")
+    ech = Echelon(sym.cols)
+    for k, row in enumerate(sym.nz):
         # Rows 0..k-1 took pivots 0..k-1; is k the pivot of row k?
-        if ech.add(row) <= 0 or k not in ech.rows:
+        if ech.insert(ech.residual(row)) <= 0 or k not in ech.rows:
             return False
+    n = sym.rows
     for k in range(1, n + 1):
-        minor = Matrix._raw(k, k, [row[:k] for row in sym.a[:k]])
+        minor = Matrix.from_sparse(n, sym.nz[:k]).columns(0, k)
         _require(determinant(minor) > 0,
                  "Sylvester: leading minor %d is not positive", k)
     return True
@@ -540,11 +600,11 @@ def determinant(m):
     an Echelon, times the sign of the order the pivots arrived in."""
     _require(m.rows == m.cols, "determinant: %dx%d matrix", m.rows, m.cols)
     ech = Echelon(m.cols)
-    det = Q(1)
-    for row in m.a:
-        f = ech.add(row)
+    det = ONE
+    for row in m.nz:
+        f = ech.insert(ech.residual(row))
         if not f:
-            return Q(0)
+            return ZERO
         det *= f
     piv = list(ech.rows)
     inversions = sum(p > q for i, p in enumerate(piv) for q in piv[i + 1:])

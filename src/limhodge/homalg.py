@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 
 from .exactlin import (
     ConsistencyError, Matrix, Subspace, kernel, image, quotient, rank,
-    solve, hstack, block_diag,
+    solve, hstack, vstack, block_diag, kron,
 )
 
 
@@ -33,12 +33,14 @@ class Complex:
             if m is None:
                 m = Matrix.zero(self.dim(p + 1), self.dim(p))
             if (m.rows, m.cols) != (self.dim(p + 1), self.dim(p)):
-                raise ConsistencyError("differential shape at degree", p)
+                raise ConsistencyError(
+                    "differential at degree %d: expected %dx%d, got %dx%d"
+                    % (p, self.dim(p + 1), self.dim(p), m.rows, m.cols))
             self.d[p] = m
         if check:
             for p in range(self.lo, self.hi):
                 if not (self.d[p + 1] * self.d[p]).is_zero():
-                    raise ConsistencyError("d^2 != 0 at degree", p)
+                    raise ConsistencyError("d^2 != 0 at degree %d" % p)
         self._coh = {}
 
     def __eq__(self, other):
@@ -171,27 +173,14 @@ def tensor(k, l):
             # d_K (x) 1 into summand (p+1, q)
             tgt = offsets.get(n + 1, {}).get((p + 1, q))
             if tgt is not None:
-                dmat = k.diff(p)
-                for i in range(k.dim(p + 1)):
-                    for j in range(dk):
-                        c = dmat.a[i][j]
-                        if c == 0:
-                            continue
-                        for b in range(dl):
-                            m.a[tgt + i * dl + b][src_off + j * dl + b] += c
+                m.add_block(tgt, src_off,
+                            kron(k.diff(p), Matrix.identity(dl)))
             # (-1)^p 1 (x) d_L into summand (p, q+1)
             tgt = offsets.get(n + 1, {}).get((p, q + 1))
             if tgt is not None:
-                s = Q(1) if p % 2 == 0 else Q(-1)
-                dmat = l.diff(q)
-                for a_ in range(dk):
-                    for i in range(l.dim(q + 1)):
-                        for j in range(dl):
-                            c = dmat.a[i][j]
-                            if c == 0:
-                                continue
-                            m.a[tgt + a_ * l.dim(q + 1) + i][
-                                src_off + a_ * dl + j] += s * c
+                m.add_block(tgt, src_off,
+                            kron(Matrix.identity(dk), l.diff(q)),
+                            1 if p % 2 == 0 else -1)
         diffs[n] = m
     return Complex(dims, diffs)
 
@@ -226,19 +215,7 @@ def tensor_map(f, g):
                     raise ConsistencyError("tensor_map: no target summand "
                                            "(%d, %d)" % (p, q))
                 continue
-            to = toff[(p, q)]
-            for i1 in range(fa.rows):
-                for j1 in range(fa.cols):
-                    c1 = fa.a[i1][j1]
-                    if c1 == 0:
-                        continue
-                    for i2 in range(ga.rows):
-                        for j2 in range(ga.cols):
-                            c2 = ga.a[i2][j2]
-                            if c2 == 0:
-                                continue
-                            m.a[to + i1 * ga.rows + i2][
-                                so + j1 * ga.cols + j2] += c1 * c2
+            m.add_block(toff[(p, q)], so, kron(fa, ga))
         comps[n] = m
     return ChainMap(src, tgt, comps)
 
@@ -267,8 +244,7 @@ def tensor_assoc(a, b, c):
                     for j in range(db):
                         for k_ in range(dc):
                             col = so + (abo + i * db + j) * dc + k_
-                            row = to + i * dbc + bco + j * dc + k_
-                            m.a[row][col] = Q(1)
+                            m[to + i * dbc + bco + j * dc + k_, col] = 1
         comps[n] = m
     return ChainMap(src, tgt, comps)
 
@@ -299,10 +275,8 @@ def shift_tensor_iso(k, l, a, b):
             pos += k.dim(pp) * l.dim(qq)
         for (p, q), so in src_off.items():
             to = tgt_off[(p + a, q + b)]
-            s = Q(1) if (p * b) % 2 == 0 else Q(-1)
-            sz = ka.dim(p) * lb.dim(q)
-            for i in range(sz):
-                m.a[to + i][so + i] = s
+            m.add_block(to, so, Matrix.identity(ka.dim(p) * lb.dim(q)),
+                        1 if (p * b) % 2 == 0 else -1)
         comps[n] = m
     return ChainMap(src, tgt, comps)
 
@@ -322,24 +296,14 @@ def cone(f):
         dk1, dl = k.dim(p + 1), l.dim(p)
         rows = k.dim(p + 2) + l.dim(p + 1)
         m = Matrix.zero(rows, dk1 + dl)
-        dkm = k.diff(p + 1)
-        for i in range(k.dim(p + 2)):
-            for j in range(dk1):
-                m.a[i][j] = -dkm.a[i][j]
-        fm = f.comp(p + 1)
-        for i in range(l.dim(p + 1)):
-            for j in range(dk1):
-                m.a[k.dim(p + 2) + i][j] = fm.a[i][j]
-        dlm = l.diff(p)
-        for i in range(l.dim(p + 1)):
-            for j in range(dl):
-                m.a[k.dim(p + 2) + i][dk1 + j] = dlm.a[i][j]
+        m.add_block(0, 0, k.diff(p + 1), -1)
+        m.add_block(k.dim(p + 2), 0, f.comp(p + 1))
+        m.add_block(k.dim(p + 2), dk1, l.diff(p))
         diffs[p] = m
     c = Complex(dims, diffs)
     alpha = ChainMap(l, c, {
-        p: Matrix.from_rows(
-            [[Q(0)] * l.dim(p) for _ in range(k.dim(p + 1))]
-            + Matrix.identity(l.dim(p)).to_lists(), cols=l.dim(p))
+        p: vstack([Matrix.zero(k.dim(p + 1), l.dim(p)),
+                   Matrix.identity(l.dim(p))])
         for p in range(lo, hi + 1)})
     k1 = shift(k, 1)
     beta = ChainMap(c, k1, {
@@ -404,8 +368,7 @@ def connecting(f, g):
         hm, _, sec_m = m.cohomology(p)
         hk, proj_k, _ = k.cohomology(p + 1)
         mat = Matrix.zero(hk, hm)
-        for j in range(hm):
-            z = [sec_m.a[i][j] for i in range(m.dim(p))]
+        for j, z in enumerate(sec_m.transpose().to_lists()):
             y = solve(g.comp(p), z)
             if y is None:
                 raise ConsistencyError("connecting: no lift through g at "
@@ -415,9 +378,8 @@ def connecting(f, g):
             if x is None:
                 raise ConsistencyError("connecting: d of the lift is not "
                                        "in the image of f at degree %d" % p)
-            cls = proj_k.matvec(x)
-            for i in range(hk):
-                mat.a[i][j] = cls[i]
+            for i, v in enumerate(proj_k.matvec(x)):
+                mat[i, j] = v
         out[p] = mat
     return out
 

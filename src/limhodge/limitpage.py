@@ -38,19 +38,12 @@ from .exactlin import (
 )
 from .homalg import Complex
 from .cubical import chi, wedge_insert_sign, contract_sign
-from .strata import Report, all_checks_pass
+from .strata import Report, all_checks_pass, first_entry
 
 
 def eps(a):
     """The sign (-1)^(a(a-1)/2), for any integer a."""
     return -1 if (a * (a - 1) // 2) % 2 else 1
-
-
-def _add_block(big, roff, coff, mat, coeff):
-    for i, row in enumerate(mat.a):
-        for j, v in enumerate(row):
-            if v:
-                big.a[roff + i][coff + j] += coeff * v
 
 
 class SummandA:
@@ -170,8 +163,8 @@ class E1Page:
                 if tgt is None:
                     continue
                 mat = dat.gysin_mat(s.sigma - {nu}, nu, s.c)
-                _add_block(out, tgt.offset, s.offset, mat,
-                           -contract_sign(ix, nu, s.sigma))
+                out.add_block(tgt.offset, s.offset, mat,
+                              -contract_sign(ix, nu, s.sigma))
         for nu in ix.labels:
             if nu in s.sigma or (s.sigma | {nu}) not in dat.nerve:
                 continue
@@ -179,8 +172,8 @@ class E1Page:
             if tgt is None:
                 continue
             mat = dat.restrict_mat(s.sigma, s.sigma | {nu}, s.c)
-            _add_block(out, tgt.offset, s.offset, mat,
-                       -wedge_insert_sign(ix, nu, s.sigma))
+            out.add_block(tgt.offset, s.offset, mat,
+                          -wedge_insert_sign(ix, nu, s.sigma))
 
     def _d1_from_k(self, s, m, q, out):
         dat, ix = self.datum, self.datum.ix
@@ -197,8 +190,8 @@ class E1Page:
                     self._self_class(nu, tau), 2, s.c)
             else:
                 mat = dat.gysin_mat(tau - {nu}, nu, s.c)
-            _add_block(out, tgt.offset, s.offset, mat,
-                       ksign * contract_sign(ix, nu, s.sigma))
+            out.add_block(tgt.offset, s.offset, mat,
+                          ksign * contract_sign(ix, nu, s.sigma))
         # dlog-t part: lowers the u-degree, adds a residue label
         if s.r >= 1:
             for nu in ix.labels:
@@ -209,8 +202,8 @@ class E1Page:
                 if tgt is None:
                     continue
                 mat = dat.restrict_mat(tau, tau | {nu}, s.c)
-                _add_block(out, tgt.offset, s.offset, mat,
-                           ksign * wedge_insert_sign(ix, nu, s.sigma))
+                out.add_block(tgt.offset, s.offset, mat,
+                              ksign * wedge_insert_sign(ix, nu, s.sigma))
         # Cech coface
         for nu in ix.labels:
             if nu in s.cech or (tau | {nu}) not in dat.nerve:
@@ -219,8 +212,8 @@ class E1Page:
             if tgt is None:
                 continue
             mat = dat.restrict_mat(tau, tau | {nu}, s.c)
-            _add_block(out, tgt.offset, s.offset, mat,
-                       wedge_insert_sign(ix, nu, s.cech))
+            out.add_block(tgt.offset, s.offset, mat,
+                          wedge_insert_sign(ix, nu, s.cech))
 
     def _self_class(self, nu, tau):
         """Degree-2 self-intersection class of the nu-th component on
@@ -257,8 +250,7 @@ class E1Page:
             tgt = self.find(m - 2, q, key)
             if tgt is None:
                 continue
-            _add_block(out, tgt.offset, s.offset,
-                       Matrix.identity(s.dim), 1)
+            out.add_block(tgt.offset, s.offset, Matrix.identity(s.dim))
         return out
 
     def l_mat(self, m, q):
@@ -273,8 +265,8 @@ class E1Page:
             tgt = self.find(m, q + 2, key)
             if tgt is None:
                 continue
-            _add_block(out, tgt.offset, s.offset,
-                       self.datum.ample_op(stratum, s.c), 1)
+            out.add_block(tgt.offset, s.offset,
+                          self.datum.ample_op(stratum, s.c))
         return out
 
 
@@ -370,8 +362,8 @@ def phi_e1(page_a, page_k):
                             % (cech_t, m, q))
                     ksign = -1 if k % 2 else 1
                     coeff = ksign * chi(ix, cech, s.sigma - cech)
-                    _add_block(out, tgt.offset, s.offset,
-                               Matrix.identity(s.dim), coeff)
+                    out.add_block(tgt.offset, s.offset,
+                                  Matrix.identity(s.dim), coeff)
         comps[(m, q)] = out
     return PhiMap(page_a, page_k, comps)
 
@@ -393,8 +385,8 @@ def trace_theta(page):
         ksign = -1 if k % 2 else 1
         coeff = eps(k) * ksign * contract_sign(ix, nu, s.cech)
         # a trace of another length than s.dim is a ConsistencyError
-        _add_block(row, 0, s.offset,
-                   Matrix(1, s.dim, [dat.trace_vec(s.cech)]), coeff)
+        row.add_block(0, s.offset,
+                      Matrix(1, s.dim, [dat.trace_vec(s.cech)]), coeff)
     return row
 
 
@@ -406,8 +398,8 @@ def _trace_row_a(page):
     row = Matrix.zero(1, page.dim(0, 2 * n))
     for s in page.summands(0, 2 * n):
         if s.r == 0:
-            _add_block(row, 0, s.offset,
-                       Matrix(1, s.dim, [dat.trace_vec(s.sigma)]), 1)
+            row.add_block(0, s.offset,
+                          Matrix(1, s.dim, [dat.trace_vec(s.sigma)]))
     return row
 
 
@@ -466,7 +458,7 @@ def _pairing_e1(page, m, q):
             raise ConsistencyError("pairing: twist imbalance at m=%d,q=%d "
                                    "for %r" % (m, q, sorted(s.sigma)))
         gram = dat.ring(s.sigma).gram(s.c, part.c, dat.trace_vec(s.sigma))
-        _add_block(out, s.offset, part.offset, gram, kap)
+        out.add_block(s.offset, part.offset, gram, kap)
     return out
 
 
@@ -729,9 +721,12 @@ def verify_polarized(limit):
             if prim.dim == 0:
                 continue
             where = "P_%d at q=%d" % (i, q)
-            report.add("primitive-symmetric", where,
-                       form == form.transpose(), "form not symmetric")
-            report.add("HL-positivity", where, is_positive_definite(form),
+            asym = first_entry(form - form.transpose())
+            report.add("primitive-symmetric", where, not asym,
+                       "form not symmetric: " + asym)
+            report.add("HL-positivity", where,
+                       not asym and is_positive_definite(form),
+                       "form not symmetric: " + asym if asym else
                        "form not positive definite on a %d-dim piece"
                        % prim.dim)
     return report

@@ -74,9 +74,9 @@ class Ring:
             for b, yb in ynz:
                 c = a * dj + b
                 xy = xa * yb
-                for r, row in enumerate(t.a):
-                    e = row[c]
-                    if e:
+                for r, row in enumerate(t.nz):
+                    e = row.get(c)
+                    if e is not None:
                         out[r] += e * xy
         return out
 
@@ -84,21 +84,19 @@ class Ring:
         """The matrix t(e_a.e_b) of the pairing H^i x H^j -> Q through
         the functional t = `trace` on H^{i+j}: the row t.T_ij, cut into
         dim(i) rows of dim(j)."""
-        row = (Matrix(1, len(trace), [trace]) * self.table(i, j)).a[0]
-        di, dj = self.dim(i), self.dim(j)
-        return Matrix._raw(di, dj, [row[a * dj:(a + 1) * dj]
-                                    for a in range(di)])
+        row = (Matrix(1, len(trace), [trace]) * self.table(i, j)).nz[0]
+        dj = self.dim(j)
+        out = Matrix(self.dim(i), dj)
+        for c, x in row.items():
+            out[c // dj, c % dj] = x
+        return out
 
     def mult_operator(self, x, i, j):
         """The matrix of (y -> x.y): H^j -> H^{i+j} for x in H^i."""
-        out = Matrix.zero(self.dim(i + j), self.dim(j))
-        for b in range(self.dim(j)):
-            e = [Q(0)] * self.dim(j)
-            e[b] = Q(1)
-            col = self.mul(i, j, x, e)
-            for r in range(self.dim(i + j)):
-                out.a[r][b] = col[r]
-        return out
+        e = Matrix.identity(self.dim(j))
+        return Matrix(self.dim(j), self.dim(i + j),
+                      [self.mul(i, j, x, e.row(b))
+                       for b in range(self.dim(j))]).transpose()
 
 
 class StrataDatum:
@@ -184,12 +182,9 @@ class StrataDatum:
         # A mis-shaped table is an input error: report it here with its
         # path, not later as a consistency failure (exit 2) in a kernel.
         def expect(path, m, rows, cols):
-            got = "%dx%d" % (m.rows, m.cols)
-            if any(len(r) != m.cols for r in m.a):
-                got = "ragged rows"
-            if got != "%dx%d" % (rows, cols):
-                raise StrataError("%s: expected %dx%d, got %s"
-                                  % (path, rows, cols, got))
+            if (m.rows, m.cols) != (rows, cols):
+                raise StrataError("%s: expected %dx%d, got %dx%d"
+                                  % (path, rows, cols, m.rows, m.cols))
 
         def ring_of(s, path):
             if s not in self.rings:
@@ -298,10 +293,18 @@ class Report(list):
     def add_zero(self, check, where, defect):
         """A check that the matrix `defect` is zero; a failure names its
         first nonzero entry."""
-        witness = next(("entry (%d,%d) = %s" % (i, j, rat_to_str(x))
-                        for i, row in enumerate(defect.a)
-                        for j, x in enumerate(row) if x), "")
+        witness = first_entry(defect)
         self.add(check, where, not witness, witness)
+
+
+def first_entry(m):
+    """"entry (i,j) = x" for the first nonzero entry of m in row-major
+    order, or "" if m is zero."""
+    i = next((i for i, row in enumerate(m.nz) if row), None)
+    if i is None:
+        return ""
+    j = min(m.nz[i])
+    return "entry (%d,%d) = %s" % (i, j, rat_to_str(m.nz[i][j]))
 
 
 def all_checks_pass(report):
@@ -311,9 +314,9 @@ def all_checks_pass(report):
 def _swap(t, di, dj):
     """The table t of a product H^j x H^i read on H^i x H^j: column
     a*dj + b of the result is column b*di + a of t."""
-    return Matrix._raw(t.rows, t.cols, [[row[b * di + a] for a in range(di)
-                                         for b in range(dj)]
-                                        for row in t.a])
+    return Matrix.from_sparse(t.cols, [{(c % di) * dj + c // di: x
+                                        for c, x in row.items()}
+                                       for row in t.nz])
 
 
 def validate(datum):
@@ -387,7 +390,11 @@ def validate(datum):
                 x = prim.basis
                 form = x * lpow.transpose() * ring.gram(2 * d - k, k, tr) \
                     * x.transpose()
-                if not is_positive_definite(form.scale((-1) ** p)):
+                asym = first_entry(form - form.transpose())
+                if asym:
+                    wit = "primitive form not symmetric in degree %d: %s" \
+                        % (k, asym)
+                elif not is_positive_definite(form.scale((-1) ** p)):
                     wit = "primitive form not positive in degree %d" % k
         report.add("hodge-riemann", key, not wit, wit)
 
@@ -475,8 +482,8 @@ def validate(datum):
                     # (d): t(g(a).b) = -t(a.r(b)); the witness names the
                     # last failing pair (a, b)
                     if i + j == 2 * dt:
-                        diff = [(x, -y) for x, y in zip((t_s * ga_b).a[0],
-                                                        (t_t * ar_b).a[0])
+                        diff = [(x, -y) for x, y in zip((t_s * ga_b).row(0),
+                                                        (t_t * ar_b).row(0))
                                 if x != -y]
                         if diff:
                             witd = "adjunction fails at (%d,%d): %s != %s" \
@@ -595,15 +602,10 @@ def fixture_product_with_p1(datum):
                         tgt = offij.get((i1 + i2, u1 + u2))
                         if tgt is None:
                             continue
-                        base = r.table(i1, i2)
-                        for rr_ in range(base.rows):
-                            for a in range(r.dim(i1)):
-                                for b in range(r.dim(i2)):
-                                    c = base.a[rr_][a * r.dim(i2) + b]
-                                    if c == 0:
-                                        continue
-                                    m.a[tgt + rr_][
-                                        (o1 + a) * dj + o2 + b] += c
+                        for rr_, row in enumerate(r.table(i1, i2).nz):
+                            for c, x in row.items():
+                                a, b = divmod(c, r.dim(i2))
+                                m[tgt + rr_, (o1 + a) * dj + o2 + b] += x
                 mult[(i, j)] = m
         nr = Ring(dims, mult)
         rings[s] = nr
@@ -664,10 +666,7 @@ def _kunneth_lift(mats, base_src, base_tgt, src, tgt, shift):
             to = targets.get((i + shift, u))
             if to is None or i not in mats:
                 continue
-            for r, row in enumerate(mats[i].a):
-                for c, x in enumerate(row):
-                    if x != 0:
-                        m.a[to + r][so + c] = x
+            m.add_block(to, so, mats[i])
         new[k] = m
     return new
 
@@ -749,17 +748,23 @@ def _vector(value):
     return [rat_from_str(x) for x in _typed(list, value)]
 
 
-def _table(value, cols):
-    return Matrix.from_json([_typed(list, r) for r in _typed(list, value)],
-                            cols)
+def _table(value, rows, cols):
+    """The matrix of a JSON table that should be rows x cols; only a
+    ragged one is rejected here, any other shape in _structural_check."""
+    table = [_typed(list, r) for r in _typed(list, value)]
+    if any(len(r) != len(table[0]) for r in table):
+        raise ValueError("expected %dx%d, got ragged rows" % (rows, cols))
+    return Matrix.from_json(table, cols)
 
 
-def _maps(path, mats, source):
-    """Per-degree maps {"deg": table} out of the ring `source`."""
+def _maps(path, mats, source, target, shift):
+    """Per-degree maps {"deg": table} from the ring `source` to degree
+    deg + shift of the ring `target`."""
     out = {}
     for deg, m in _parsed(path, _typed, dict, mats).items():
         d = _parsed("%s/%s" % (path, deg), int, deg)
-        out[d] = _parsed("%s/%s" % (path, deg), _table, m, source.dim(d))
+        out[d] = _parsed("%s/%s" % (path, deg), _table, m,
+                         target.dim(d + shift), source.dim(d))
     return out
 
 
@@ -811,7 +816,7 @@ def loads(text):
             where = "%s/products/%s" % (path, ij)
             i, j = (_parsed(where, int, x)
                     for x in _parsed(where, _split, ij, ","))
-            ring.mult[(i, j)] = _parsed(where, _table, m,
+            ring.mult[(i, j)] = _parsed(where, _table, m, ring.dim(i + j),
                                         ring.dim(i) * ring.dim(j))
         traces[s] = _parsed(path + "/trace", _vector, entry["trace"])
         ample[s] = _parsed(path + "/ample", _vector, entry["ample"])
@@ -821,7 +826,7 @@ def loads(text):
         path = "restrictions/" + key
         a, b = _parsed(path, _split, key, "|")
         s, t = _parsed(path, stratum, a), _parsed(path, stratum, b)
-        restrictions[(s, t)] = _maps(path, mats, rings[s])
+        restrictions[(s, t)] = _maps(path, mats, rings[s], rings[t], 0)
     gysin = {}
     for key, mats in _parsed("gysin", _typed, dict,
                              data.get("gysin", {})).items():
@@ -829,7 +834,7 @@ def loads(text):
         a, nu = _parsed(path, _split, key, "|")
         s = _parsed(path, stratum, a)
         t = _parsed(path, stratum, a + "," + nu)
-        gysin[(s, nu)] = _maps(path, mats, rings[t])
+        gysin[(s, nu)] = _maps(path, mats, rings[t], rings[s], 2)
     return StrataDatum(
         n=n, labels=labels, nerve=nerve, rings=rings,
         restrictions=restrictions, gysin=gysin, traces=traces,

@@ -132,8 +132,8 @@ def test_criterion_2_tate_curve():
         pairs = [(i, (i + 1) % 3) for i in range(3)]
         inc = Matrix.zero(3, 3)
         for col, (i, j) in enumerate(pairs):
-            inc.a[i][col] = Q(-1)
-            inc.a[j][col] = Q(1)
+            inc[i, col] = Q(-1)
+            inc[j, col] = Q(1)
         assert rank(inc) == 2
         assert rank(inc.transpose()) == 2
         page = build_e1_A(datum)

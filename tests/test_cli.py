@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -307,6 +308,71 @@ def test_no_assert_in_source():
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_dense_view_outside_exactlin():
+    """Matrices are read through their sparse rows, `m[i, j]` or
+    `to_lists`; the dense view `.a` is for tests and tools only."""
+    src = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "exactlin.py":
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "a"]
+    assert found == []
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_asymmetric_primitive_form_fails_its_check(tmp_path, flags):
+    """A product table that makes a primitive form asymmetric fails the
+    positivity checks with the entry that breaks symmetry as witness,
+    where `is_positive_definite` would raise."""
+    datum = strata.fixture_product_with_p1(strata.fixture_product_with_p1(
+        strata.fixture_cycle_of_p1(3)))
+    data = json.loads(strata.dumps(datum))
+    data["strata"]["C0"]["products"]["2,2"][0][1] = "2"
+    (tmp_path / "asym.json").write_text(json.dumps(data))
+    for command, code, failures in (
+            ("validate", 1, [
+                "FAIL ring-axioms C0: associativity fails at (2,2,2)",
+                "FAIL hodge-riemann C0: primitive form not symmetric in "
+                "degree 2: entry (0,1) = 1",
+                "FAIL projection-formula C0|C1: projection formula fails "
+                "at (0,2)",
+                "FAIL projection-formula C0|C2: projection formula fails "
+                "at (0,2)",
+                "48 checks, 4 failed"]),
+            ("polarize", 0, [
+                "FAIL primitive-symmetric P_0 at q=2: form not symmetric: "
+                "entry (0,1) = 1/3",
+                "FAIL HL-positivity P_0 at q=2: form not symmetric: "
+                "entry (0,1) = 1/3",
+                "77 checks, 2 failed"])):
+        proc = _run_python(flags, ["-m", "limhodge.cli", command,
+                                   "asym.json"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (code, ""), proc.stderr
+        assert [line for line in proc.stdout.splitlines()
+                if not line.startswith("ok ")] == failures
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_d_squared_error_names_its_degree(tmp_path, flags):
+    """Doubling one restriction breaks d^2 = 0 in the E1 columns: the
+    consistency error prints its degree as a number, not a tuple."""
+    data = json.loads(strata.dumps(strata.fixture_product_with_p1(
+        strata.fixture_cycle_of_p1(3))))
+    maps = data["restrictions"]["C0|C0,C1"]
+    for deg, table in maps.items():
+        maps[deg] = [[str(2 * Fraction(x)) for x in row] for row in table]
+    (tmp_path / "d2.json").write_text(json.dumps(data))
+    proc = _run_python(flags, ["-m", "limhodge.cli", "e2", "--page", "both",
+                               "d2.json"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "error: internal consistency failure: d^2 != 0 at degree -2\n",
+        "")
 
 
 def test_d1_squared_failure_is_reported_not_raised(tmp_path):

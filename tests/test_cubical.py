@@ -116,7 +116,7 @@ def diag_cocubical(ix, rng, maxdeg=2, maxdim=2):
                 cols_n = complexes[s].dim(p)
                 m = Matrix.zero(rows_n, cols_n)
                 for i in range(min(rows_n, cols_n)):
-                    m.a[i][i] = Q(1)
+                    m[i, i] = Q(1)
                 comps[p] = m
             cover[(s, t)] = ChainMap(complexes[s], complexes[t], comps,
                                      check=False)
@@ -225,7 +225,7 @@ def test_tau_associativity():
                 for i in range(am.rows):
                     for j in range(am.cols):
                         if am.a[i][j] != 0:
-                            mtx.a[toff + i][off + j] = am.a[i][j]
+                            mtx[toff + i, off + j] = am.a[i][j]
             lift[n] = mtx
         assoc_target = ChainMap(cklm1.total, cklm2.total, lift)
         # source regrouping (C(K) (x) C(L)) (x) C(M) ->
@@ -378,7 +378,7 @@ def test_gysin_deltaw_decomposition():
                     continue
                 for i in range(sz2):
                     for j in range(sz):
-                        m.a[off2 + i][off + j] = Q(0)
+                        m[off2 + i, off + j] = Q(0)
         diffs2[n] = m
     partial_only = Complex(dict(c.total.dims), diffs2)
     kf_partial = FilteredComplex(partial_only, kf.w)

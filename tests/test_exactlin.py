@@ -389,7 +389,7 @@ def test_rref_and_rank_match_reference(c, data):
     m = Matrix(len(rows), c, rows)
     r, piv = rref(m)
     ref_a, ref_piv = ref_rref(m)
-    assert (r.a, piv) == (ref_a, ref_piv)
+    assert (r.to_lists(), piv) == (ref_a, ref_piv)
     assert is_fraction_matrix(r)
     assert rank(m) == len(ref_piv)
 
@@ -487,7 +487,7 @@ def test_kron_matches_definition(r1, c1, r2, c2, data):
         lambda rows: len(rows) == r2)))
     k = kron(a, b)
     assert (k.rows, k.cols) == (r1 * r2, c1 * c2)
-    assert k.a == [[a.a[i][j] * b.a[p][q] for j in range(c1)
+    assert k.to_lists() == [[a.a[i][j] * b.a[p][q] for j in range(c1)
                     for q in range(c2)]
                    for i in range(r1) for p in range(r2)]
     assert is_fraction_matrix(k)
@@ -509,5 +509,111 @@ def test_solve_with_matrix_right_side_solves_by_columns(rows, cols, k, data):
         assert x is None
     else:
         assert (x.rows, x.cols) == (cols, k)
-        assert x.a == [[col[i] for col in by_column] for i in range(cols)]
+        assert x.to_lists() == [[col[i] for col in by_column]
+                                for i in range(cols)]
         assert m * x == b
+
+
+# Sparse Matrix operations against dense reference formulas on the
+# entry lists. Entries are mostly 0 and often cancel to exactly 0, so
+# a result that stores a 0 fails `==` with the reference.
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Q(-1, 2)])
+
+
+def dense_rows(rows, cols):
+    return st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
+def assert_matches(m, ref, cols):
+    """m holds exactly the dense rows ref: no stored 0, Fractions only."""
+    assert (m.rows, m.cols) == (len(ref), cols)
+    assert m.to_lists() == ref
+    assert m == Matrix(len(ref), cols, ref)
+    assert all(x != 0 for row in m.nz for x in row.values())
+    assert all(type(m[i, j]) is Q for i in range(m.rows)
+               for j in range(m.cols))
+    assert is_fraction_matrix(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_sparse_arithmetic_matches_dense(r, k, c, data):
+    a, b = data.draw(dense_rows(r, k)), data.draw(dense_rows(k, c))
+    a2 = data.draw(dense_rows(r, k))
+    ma, mb, ma2 = Matrix(r, k, a), Matrix(k, c, b), Matrix(r, k, a2)
+    assert_matches(ma * mb, [[sum((a[i][l] * b[l][j] for l in range(k)),
+                                  Q(0)) for j in range(c)]
+                             for i in range(r)], c)
+    assert_matches(ma + ma2, [[x + y for x, y in zip(u, v)]
+                              for u, v in zip(a, a2)], k)
+    assert_matches(ma - ma2, [[x - y for x, y in zip(u, v)]
+                              for u, v in zip(a, a2)], k)
+    neg = Matrix(r, k, [[-x for x in row] for row in a])
+    assert_matches(ma + neg, zeros(r, k), k)
+    assert_matches(ma - ma, zeros(r, k), k)
+    assert (ma + neg).is_zero() and (ma - ma).is_zero()
+    for f in (0, -1, Q(2, 3)):
+        assert_matches(ma.scale(f), [[f * x for x in row] for row in a], k)
+    assert_matches(ma.transpose(), [[a[i][j] for i in range(r)]
+                                    for j in range(k)], r)
+    v = data.draw(st.lists(sparse_entries, min_size=k, max_size=k))
+    out = ma.matvec(v)
+    assert out == [sum((x * y for x, y in zip(row, v)), Q(0)) for row in a]
+    assert all(type(x) is Q for x in out)
+    assert ma.is_zero() == all(x == 0 for row in a for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.data())
+def test_sparse_kron_and_stacks_match_dense(r1, c1, r2, c2, data):
+    a, b = data.draw(dense_rows(r1, c1)), data.draw(dense_rows(r2, c2))
+    ma, mb = Matrix(r1, c1, a), Matrix(r2, c2, b)
+    assert_matches(kron(ma, mb), [[a[i][j] * b[p][q] for j in range(c1)
+                                   for q in range(c2)]
+                                  for i in range(r1) for p in range(r2)],
+                   c1 * c2)
+    assert_matches(block_diag([ma, mb]),
+                   [row + [0] * c2 for row in a]
+                   + [[0] * c1 + row for row in b], c1 + c2)
+    side = data.draw(dense_rows(r1, c2))
+    assert_matches(hstack([ma, Matrix(r1, c2, side)]),
+                   [u + v for u, v in zip(a, side)], c1 + c2)
+    below = data.draw(dense_rows(r2, c1))
+    assert_matches(vstack([ma, Matrix(r2, c1, below)]), a + below, c1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_sparse_json_equality_and_hash_match_dense(r, c, data):
+    a = data.draw(dense_rows(r, c))
+    m = Matrix(r, c, a)
+    assert m.to_json() == [[rat_to_str(Q(x)) for x in row] for row in a]
+    assert_matches(Matrix.from_json(m.to_json(), c), a, c)
+    # The same entries written in another order, with writes of 0 over
+    # nonzero entries: equal, with the same hash.
+    other = Matrix.zero(r, c)
+    cells = [(i, j) for i in range(r) for j in range(c)]
+    for i, j in reversed(cells):
+        other[i, j] = 1
+    for i, j in data.draw(st.permutations(cells)):
+        other[i, j] = a[i][j]
+    assert_matches(other, a, c)
+    assert hash(other) == hash(m)
+    if cells:
+        i, j = data.draw(st.sampled_from(cells))
+        other[i, j] = a[i][j] + 1
+        assert other != m
+
+
+def test_dense_view_is_read_only():
+    m = Matrix.identity(2)
+    assert m.a == ((1, 0), (0, 1))
+    with pytest.raises(TypeError):
+        m.a[0][1] = Q(5)
+    assert m == Matrix.identity(2)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from limhodge.exactlin import Matrix, Subspace, rank, image
+from limhodge.exactlin import ConsistencyError, Matrix, Subspace, rank, image
 from limhodge.homalg import (
     Complex, ChainMap, FilteredComplex, shift, shift_map, tensor,
     shift_tensor_iso, cone, zeta, connecting, check_exact, spectral,
@@ -345,9 +345,9 @@ def random_extension(rng, k):
         dk = k.diff(p)
         for i in range(k.dim(p + 1)):
             for j in range(k.dim(p)):
-                mat.a[i][j] = dk.a[i][j]
+                mat[i, j] = dk.a[i][j]
             for j in range(m.dim(p)):
-                mat.a[i][k.dim(p) + j] = twists[p].a[i][j]
+                mat[i, k.dim(p) + j] = twists[p].a[i][j]
         ldiffs[p] = mat
     # d^2 = 0 needs dk ∘ t = 0 in general; retry with zero twist if broken
     try:
@@ -356,7 +356,7 @@ def random_extension(rng, k):
         for p in k.degrees():
             for i in range(k.dim(p + 1)):
                 for j in range(m.dim(p)):
-                    ldiffs[p].a[i][k.dim(p) + j] = Q(0)
+                    ldiffs[p][i, k.dim(p) + j] = Q(0)
         l = Complex(ldims, ldiffs)
     fcomp = {p: Matrix.from_rows(
         Matrix.identity(k.dim(p)).to_lists()
@@ -395,7 +395,7 @@ def random_filtered_complex(rng):
         for i in range(dims[p + 1]):
             for j in range(dims[p]):
                 if level(p + 1, i) <= level(p, j):
-                    mat.a[i][j] = Q(rng.randint(-2, 2))
+                    mat[i, j] = Q(rng.randint(-2, 2))
         diffs[p] = mat
     if not (diffs[1] * diffs[0]).is_zero():
         diffs[1] = Matrix.zero(dims[2], dims[1])
@@ -411,3 +411,13 @@ def random_filtered_complex(rng):
             layer[p] = Subspace(dims[p], rows)
         w[mlevel] = layer
     return FilteredComplex(c, w)
+
+
+def test_complex_errors_name_degree_and_shapes():
+    with pytest.raises(ConsistencyError) as err:
+        Complex({0: 1, 1: 2}, {0: Matrix(1, 1)})
+    assert str(err.value) == \
+        "differential at degree 0: expected 2x1, got 1x1"
+    with pytest.raises(ConsistencyError) as err:
+        Complex({0: 1, 1: 1, 2: 1}, {0: M([[1]]), 1: M([[1]])})
+    assert str(err.value) == "d^2 != 0 at degree 0"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from limhodge.exactlin import ConsistencyError, Matrix
 from limhodge.strata import (
-    StrataDatum, StrataError, Ring, validate, all_checks_pass,
+    StrataDatum, StrataError, Ring, Report, validate, all_checks_pass,
     fixture_projective_space, fixture_cycle_of_p1, fixture_product_with_p1,
     save, load, dumps, loads,
 )
@@ -363,5 +363,22 @@ def test_gram_is_the_trace_of_products():
                          for y in unit(ring.dim(j)).a]
                         for x in unit(ring.dim(i)).a]
             g = ring.gram(i, j, tr)
-            assert (g.rows, g.cols, g.a) == (ring.dim(i), ring.dim(j),
-                                             expected)
+            assert (g.rows, g.cols, g.to_lists()) == (
+                ring.dim(i), ring.dim(j), expected)
+
+
+def test_add_zero_names_the_first_entry_in_row_major_order():
+    """The witness is the first nonzero entry by (row, column), also
+    when a row's entries were written out of column order."""
+    defect = Matrix.zero(3, 8)
+    defect.add_block(1, 5, Matrix(1, 1, [[3]]))
+    defect.add_block(1, 2, Matrix(1, 2, [[Q(-1, 2), 4]]))
+    defect.add_block(2, 0, Matrix(1, 1, [[9]]))
+    assert list(defect.nz[1]) == [5, 2, 3]
+    report = Report()
+    report.add_zero("defect", "here", defect)
+    report.add_zero("cancelled", "here", defect - defect)
+    assert report == [
+        {"check": "defect", "where": "here", "ok": False,
+         "witness": "entry (1,2) = -1/2"},
+        {"check": "cancelled", "where": "here", "ok": True, "witness": ""}]
