@@ -14,7 +14,7 @@ from .exactlin import rank, rat_to_str
 from . import strata
 from .limitpage import (
     build_e1_A, build_e1_K, compute_limit, pairing, verify_polarized,
-    compare_pages, Columns,
+    compare_pages, PageK,
 )
 
 
@@ -78,7 +78,7 @@ def _cmd_e1(config):
             if config.dump:
                 dump["%d,%d" % (m, q)] = page.d1(m, q).to_json()
         entry = {"cells": cells}
-        if page.m_max is not None:
+        if isinstance(page, PageK):
             entry["m_max"] = page.m_max
         if config.dump:
             entry["d1"] = dump
@@ -90,12 +90,11 @@ def _cmd_e2(config):
     datum = strata.load(config.path)
     result = {"command": "e2", "input": config.path, "pages": {}}
     for page in _pages(config, datum):
-        cols = Columns(page)
         cells = []
         for (m, q) in page.cell_keys():
-            if page.m_max is not None and m > page.m_max - 1:
+            if not page.trusted(m):
                 continue
-            dim, _, _ = cols.cohomology(m, q)
+            dim, _, _ = page.cohomology(m, q)
             if dim:
                 cells.append({"m": m, "q": q, "dim": dim})
         result["pages"][page.variant] = {"cells": cells}
@@ -141,7 +140,7 @@ def _cmd_mhs(config):
 def _cmd_polarize(config):
     datum = strata.load(config.path)
     lim = compute_limit(datum)
-    checks = lim.verdicts + pairing(lim).checks + verify_polarized(lim)
+    checks = lim.verdicts + pairing(lim) + verify_polarized(lim)
     result = {"command": "polarize", "input": config.path,
               "checks": checks}
     ok = strata.all_checks_pass(checks)

@@ -155,23 +155,19 @@ class CoCubicalComplex:
         if key in self._map_cache:
             return self._map_cache[key]
         src = self.complex(sigma)
-        if sigma == tau:
-            out = {p: Matrix.identity(src.dim(p)) for p in src.degrees()}
-        else:
-            added = self.ix.sort(tau - sigma)
-            cur = sigma
-            out = {p: Matrix.identity(src.dim(p)) for p in src.degrees()}
-            for x in added:
-                nxt = cur | {x}
-                step = self.cover_maps[(cur, nxt)]
-                tgt_c = self.complex(nxt)
-                cur_c = self.complex(cur)
-                out = {
-                    p: step.comp(p) * out.get(
-                        p, Matrix.zero(cur_c.dim(p), src.dim(p)))
-                    for p in tgt_c.degrees()
-                }
-                cur = nxt
+        cur = sigma
+        out = {p: Matrix.identity(src.dim(p)) for p in src.degrees()}
+        for x in self.ix.sort(tau - sigma):
+            nxt = cur | {x}
+            step = self.cover_maps[(cur, nxt)]
+            tgt_c = self.complex(nxt)
+            cur_c = self.complex(cur)
+            out = {
+                p: step.comp(p) * out.get(
+                    p, Matrix.zero(cur_c.dim(p), src.dim(p)))
+                for p in tgt_c.degrees()
+            }
+            cur = nxt
         self._map_cache[key] = out
         return out
 
@@ -250,8 +246,7 @@ class CechComplex:
         self.cells = cells
         degs = set()
         for k, idx in cells:
-            c = K.complex(idx if isinstance(idx, frozenset)
-                          else frozenset(idx))
+            c = K.complex(idx)
             for l in c.degrees():
                 if c.dim(l) > 0:
                     degs.add(k + l)
@@ -267,7 +262,7 @@ class CechComplex:
             off = 0
             for k, idx in cells:
                 l = n - k
-                c = self._stalk(idx)
+                c = K.complex(idx)
                 sz = c.dim(l)
                 if sz > 0:
                     blks.append((k, idx, l, off, sz))
@@ -279,16 +274,6 @@ class CechComplex:
             diffs[n] = self._build_diff(n, dims)
         self.total = Complex(dims, diffs)
 
-    def _stalk(self, idx):
-        return self.K.complex(idx if isinstance(idx, frozenset)
-                              else frozenset(idx))
-
-    def block_offset(self, n, k, idx):
-        for kk, ii, l, off, sz in self.blocks.get(n, []):
-            if kk == k and ii == idx:
-                return off, sz
-        return None
-
     def _build_diff(self, n, dims):
         rows = dims.get(n + 1, 0)
         cols = dims.get(n, 0)
@@ -296,7 +281,7 @@ class CechComplex:
         tgt_blocks = {(k, idx): (off, sz)
                       for k, idx, l, off, sz in self.blocks.get(n + 1, [])}
         for k, idx, l, off, sz in self.blocks.get(n, []):
-            stalk = self._stalk(idx)
+            stalk = self.K.complex(idx)
             # (-1)^k partial: same cell index, l -> l+1
             t = tgt_blocks.get((k, idx))
             if t is not None:
@@ -359,9 +344,8 @@ def cech_filtration(cechc, filts, delta=False):
         for n, blks in cechc.blocks.items():
             rows = []
             for k, idx, l, off, sz in blks:
-                sigma = idx if isinstance(idx, frozenset) else frozenset(idx)
                 eff = mlevel + (k if delta else 0)
-                sub = filts[sigma].w_sub(eff, l)
+                sub = filts[frozenset(idx)].w_sub(eff, l)
                 rows += [{off + j: x for j, x in brow.items()}
                          for brow in sub.basis.nz]
             layer[n] = Subspace.span(cechc.total.dim(n), rows)

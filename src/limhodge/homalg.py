@@ -23,7 +23,7 @@ class Complex:
     """
 
     def __init__(self, dims, diffs, check=True):
-        self.dims = {p: n for p, n in dims.items() if n > 0 or p in dims}
+        self.dims = dict(dims)
         degs = [p for p, n in dims.items() if n > 0]
         self.lo = min(degs) if degs else 0
         self.hi = max(degs) if degs else 0
@@ -81,10 +81,6 @@ class Complex:
     def betti(self, p):
         return self.cohomology(p)[0]
 
-    def total_cohomology_dims(self):
-        return {p: self.betti(p) for p in self.degrees()
-                if self.betti(p) > 0}
-
 
 def zero_complex():
     return Complex({0: 0}, {})
@@ -119,8 +115,8 @@ class ChainMap:
 
     def induced_on_cohomology(self, p):
         """Matrix H^p(source) -> H^p(target)."""
-        hs, _, sec_s = self.source.cohomology(p)
-        ht, proj_t, _ = self.target.cohomology(p)
+        _, _, sec_s = self.source.cohomology(p)
+        _, proj_t, _ = self.target.cohomology(p)
         return proj_t * self.comp(p) * sec_s
 
 
@@ -157,14 +153,7 @@ def tensor(k, l):
                       tensor_summands(k, l, n))
     if not any(dims.values()):
         return zero_complex()
-    offsets = {}
-    for n in range(lo, hi + 1):
-        off = {}
-        pos = 0
-        for p, q in tensor_summands(k, l, n):
-            off[(p, q)] = pos
-            pos += k.dim(p) * l.dim(q)
-        offsets[n] = off
+    offsets = {n: tensor_offsets(k, l, n) for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo, hi + 1):
         m = Matrix.zero(dims.get(n + 1, 0), dims.get(n, 0))
@@ -263,17 +252,8 @@ def shift_tensor_iso(k, l, a, b):
         m = Matrix.zero(tgt.dim(n), src.dim(n))
         # src summand (p, q): K[a]^p = K^{p+a}, L[b]^q = L^{q+b};
         # tgt summand at degree n+a+b of K (x) L: (p+a, q+b).
-        src_off = {}
-        pos = 0
-        for p, q in tensor_summands(ka, lb, n):
-            src_off[(p, q)] = pos
-            pos += ka.dim(p) * lb.dim(q)
-        tgt_off = {}
-        pos = 0
-        for pp, qq in tensor_summands(k, l, n + a + b):
-            tgt_off[(pp, qq)] = pos
-            pos += k.dim(pp) * l.dim(qq)
-        for (p, q), so in src_off.items():
+        tgt_off = tensor_offsets(k, l, n + a + b)
+        for (p, q), so in tensor_offsets(ka, lb, n).items():
             to = tgt_off[(p + a, q + b)]
             m.add_block(to, so, Matrix.identity(ka.dim(p) * lb.dim(q)),
                         1 if (p * b) % 2 == 0 else -1)
@@ -365,22 +345,17 @@ def connecting(f, g):
     lo = min(k.lo, l.lo, m.lo)
     hi = max(k.hi, l.hi, m.hi)
     for p in range(lo, hi + 1):
-        hm, _, sec_m = m.cohomology(p)
-        hk, proj_k, _ = k.cohomology(p + 1)
-        mat = Matrix.zero(hk, hm)
-        for j, z in enumerate(sec_m.transpose().to_lists()):
-            y = solve(g.comp(p), z)
-            if y is None:
-                raise ConsistencyError("connecting: no lift through g at "
-                                       "degree %d" % p)
-            dy = l.diff(p).matvec(y)
-            x = solve(f.comp(p + 1), dy)
-            if x is None:
-                raise ConsistencyError("connecting: d of the lift is not "
-                                       "in the image of f at degree %d" % p)
-            for i, v in enumerate(proj_k.matvec(x)):
-                mat[i, j] = v
-        out[p] = mat
+        _, _, sec_m = m.cohomology(p)
+        _, proj_k, _ = k.cohomology(p + 1)
+        y = solve(g.comp(p), sec_m)
+        if y is None:
+            raise ConsistencyError("connecting: no lift through g at "
+                                   "degree %d" % p)
+        x = solve(f.comp(p + 1), l.diff(p) * y)
+        if x is None:
+            raise ConsistencyError("connecting: d of the lift is not "
+                                   "in the image of f at degree %d" % p)
+        out[p] = proj_k * x
     return out
 
 
@@ -427,30 +402,21 @@ class FilteredComplex:
             m -= 1
         return self.w[m].get(p, Subspace.zero(n))
 
-    def shifted(self, k_):
-        """The filtered complex (K[k], W[k]) with W[k]_m = W_{m-k}."""
-        c = shift(self.complex, k_)
-        w = {m + k_: {p - k_: s for p, s in layer.items()}
-             for m, layer in self.w.items()}
-        return FilteredComplex(c, w, check=False)
-
-    def gr(self, m):
-        """(Complex gr_m, proj {p: Matrix}, sec {p: Matrix})."""
-        if m in self._gr_cache:
-            return self._gr_cache[m]
+    def _subquotient(self, a, b):
+        """(Complex W_a/W_b, proj {p: Matrix}, sec {p: Matrix})."""
         c = self.complex
         dims, projs, secs = {}, {}, {}
         for p in c.degrees():
-            d, pr, se = quotient(self.w_sub(m, p), self.w_sub(m - 1, p))
-            dims[p] = d
-            projs[p] = pr
-            secs[p] = se
-        diffs = {p: projs.get(p + 1,
-                              Matrix.zero(0, c.dim(p + 1))) * c.diff(p)
-                 * secs[p]
+            dims[p], projs[p], secs[p] = quotient(self.w_sub(a, p),
+                                                  self.w_sub(b, p))
+        diffs = {p: projs[p + 1] * c.diff(p) * secs[p]
                  for p in c.degrees() if p + 1 in projs}
-        grc = Complex(dims, diffs)
-        self._gr_cache[m] = (grc, projs, secs)
+        return Complex(dims, diffs), projs, secs
+
+    def gr(self, m):
+        """(Complex gr_m, proj {p: Matrix}, sec {p: Matrix})."""
+        if m not in self._gr_cache:
+            self._gr_cache[m] = self._subquotient(m, m - 1)
         return self._gr_cache[m]
 
     def gysin(self, m):
@@ -458,16 +424,8 @@ class FilteredComplex:
         0 -> gr_{m-1} -> W_m/W_{m-2} -> gr_m -> 0."""
         c = self.complex
         grm, proj_m, sec_m = self.gr(m)
-        grm1, proj_m1, sec_m1 = self.gr(m - 1)
-        mid_dims, mid_proj, mid_sec = {}, {}, {}
-        for p in c.degrees():
-            d, pr, se = quotient(self.w_sub(m, p), self.w_sub(m - 2, p))
-            mid_dims[p] = d
-            mid_proj[p] = pr
-            mid_sec[p] = se
-        mid_diffs = {p: mid_proj[p + 1] * c.diff(p) * mid_sec[p]
-                     for p in c.degrees() if p + 1 in mid_proj}
-        mid = Complex(mid_dims, mid_diffs)
+        grm1, _, sec_m1 = self.gr(m - 1)
+        mid, mid_proj, mid_sec = self._subquotient(m, m - 2)
         fmap = ChainMap(grm1, mid,
                         {p: mid_proj[p] * sec_m1[p] for p in c.degrees()})
         gmap = ChainMap(mid, grm,

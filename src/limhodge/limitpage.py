@@ -3,11 +3,11 @@ degeneration, computed in exact arithmetic from a StrataDatum.
 
 Two E1 pages are built from the strata data:
 
-  - the A page (variant "A"): the weight-graded page of the quotient
+  - the A page (PageA): the weight-graded page of the quotient
     model, whose cell (m, q) is the direct sum of H^{q-m-2r}(Y_sigma)
     over u-degrees r and subsets sigma of m+2r+1 components whose
     intersection is non-empty;
-  - the K page (variant "K"): the weight-graded page of the Cech model
+  - the K page (PageK): the weight-graded page of the Cech model
     of the twisted de Rham complex, whose summands carry a Cech subset
     A, a u-degree r and a residue subset sigma with A + sigma in the
     nerve (sigma may meet A).
@@ -24,7 +24,7 @@ Normalization conventions (all certified by machine checks):
   - the A-page d1 carries global signs s_G = s_R = -1 on its Gysin and
     restriction parts, the K-page parts carry (-1)^k relative to the
     Cech degree k; these are pinned jointly by d1*d1 = 0, the vanishing
-    of trace_theta composed with d1, and the chain-map property of the
+    of PageK.trace_row composed with d1, and the chain-map property of the
     comparison map phi;
   - the Lefschetz operator acts as +(ample class) on every summand;
   - the trace of a point class is +1.
@@ -64,12 +64,17 @@ class SummandA:
         return (self.sigma, self.r)
 
     @property
-    def m(self):
-        return len(self.sigma) - 1 - 2 * self.r
+    def stratum(self):
+        return self.sigma
+
+    @property
+    def n_key(self):
+        """Key of the summand N maps this one to: one u-degree up."""
+        return (self.sigma, self.r + 1)
 
     @property
     def tw(self):
-        return self.m + self.r
+        return len(self.sigma) - 1 - self.r
 
 
 class SummandK:
@@ -92,12 +97,14 @@ class SummandK:
         return (self.cech, self.r, self.sigma)
 
     @property
-    def tau(self):
+    def stratum(self):
         return self.cech | self.sigma
 
     @property
-    def m(self):
-        return len(self.sigma) - (len(self.cech) - 1) + 2 * self.r
+    def n_key(self):
+        """Key of the summand N maps this one to: one u-degree down;
+        None, which keys no summand, at r = 0."""
+        return (self.cech, self.r - 1, self.sigma) if self.r else None
 
 
 class E1Page:
@@ -105,17 +112,17 @@ class E1Page:
 
     cells maps (m, q) to the ordered summand list; d1, n_mat and l_mat
     return the cellwise matrices of the differential, the monodromy
-    operator N and the Lefschetz operator l.  For the K variant the
-    page is truncated at m <= m_max (the u-tower is infinite in m);
-    cohomology is reliable for m <= m_max - 1.
+    operator N and the Lefschetz operator l, and cohomology the E2
+    cells.  A subclass supplies the d1 components of each summand
+    (_d1_from) and the trace functional (trace_row).
     """
 
-    def __init__(self, variant, datum, cells, m_max=None):
-        self.variant = variant
+    variant = None      # the page's name in reports and check names
+
+    def __init__(self, datum, cells):
         self.datum = datum
         self.n = datum.n
         self.cells = cells
-        self.m_max = m_max
         self._lookup = {}
         for cell, lst in cells.items():
             table = {}
@@ -126,7 +133,7 @@ class E1Page:
                 table[s.key] = s
             self._lookup[cell] = (table, off)
         self._d1 = {}
-        self._selfcls = {}
+        self._cx = {}
 
     def summands(self, m, q):
         return self.cells.get((m, q), [])
@@ -142,20 +149,69 @@ class E1Page:
     def cell_keys(self):
         return sorted(self.cells)
 
+    def trusted(self, m):
+        """Whether the E2 cells of weight index m are computed in full."""
+        return True
+
     # differentials and operators
 
     def d1(self, m, q):
         if (m, q) not in self._d1:
             out = Matrix.zero(self.dim(m - 1, q + 1), self.dim(m, q))
             for s in self.summands(m, q):
-                if self.variant == "A":
-                    self._d1_from_a(s, m, q, out)
-                else:
-                    self._d1_from_k(s, m, q, out)
+                self._d1_from(s, m, q, out)
             self._d1[(m, q)] = out
         return self._d1[(m, q)]
 
-    def _d1_from_a(self, s, m, q, out):
+    def n_mat(self, m, q):
+        """Monodromy operator cell (m, q) -> (m-2, q): the u-degree
+        shift, identity on matching summands, zero where the target
+        summand is absent."""
+        out = Matrix.zero(self.dim(m - 2, q), self.dim(m, q))
+        for s in self.summands(m, q):
+            tgt = self.find(m - 2, q, s.n_key)
+            if tgt is None:
+                continue
+            out.add_block(tgt.offset, s.offset, Matrix.identity(s.dim))
+        return out
+
+    def l_mat(self, m, q):
+        """Lefschetz operator cell (m, q) -> (m, q+2): multiplication
+        by the ample class on every summand."""
+        out = Matrix.zero(self.dim(m, q + 2), self.dim(m, q))
+        for s in self.summands(m, q):
+            tgt = self.find(m, q + 2, s.key)
+            if tgt is None:
+                continue
+            out.add_block(tgt.offset, s.offset,
+                          self.datum.ample_op(s.stratum, s.c))
+        return out
+
+    def cohomology(self, m, q):
+        """(dim, proj, sec) of the E2 cell (m, q): the cohomology of the
+        complex of E1 cells and d1 along the line m + q = const."""
+        s = m + q
+        if s not in self._cx:
+            ms = [mm for (mm, qq) in self.cells if mm + qq == s]
+            if not ms:
+                self._cx[s] = None
+            else:
+                degs = range(-max(ms), -min(ms) + 1)
+                self._cx[s] = Complex({p: self.dim(-p, s + p) for p in degs},
+                                      {p: self.d1(-p, s + p) for p in degs})
+        cx = self._cx[s]
+        if cx is None or cx.dim(-m) == 0:
+            d = self.dim(m, q)
+            return 0, Matrix.zero(0, d), Matrix.zero(d, 0)
+        return cx.cohomology(-m)
+
+
+class PageA(E1Page):
+    """The A page: the weight-graded page of the quotient model."""
+
+    variant = "A"
+
+    def _d1_from(self, s, m, q, out):
         dat, ix = self.datum, self.datum.ix
         if len(s.sigma) > 1:
             for nu in ix.sort(s.sigma):
@@ -175,9 +231,60 @@ class E1Page:
             out.add_block(tgt.offset, s.offset, mat,
                           -wedge_insert_sign(ix, nu, s.sigma))
 
-    def _d1_from_k(self, s, m, q, out):
+    def trace_row(self):
+        """The trace functional on the cell (0, 2n), as a 1 x dim row
+        matrix: the sum of the stratum traces over the r = 0
+        single-component summands."""
+        dat, n = self.datum, self.n
+        row = Matrix.zero(1, self.dim(0, 2 * n))
+        for s in self.summands(0, 2 * n):
+            if s.r == 0:
+                row.add_block(0, s.offset,
+                              Matrix(1, s.dim, [dat.trace_vec(s.sigma)]))
+        return row
+
+    def pairing(self, m, q):
+        """Matrix P of the rational pairing between the E1 cells (m, q)
+        and (-m, 2n-q): the summand (sigma, r) pairs only with
+        (sigma, r+m), through the stratum cup product and trace, with
+        coefficient (-1)^(m(q+1)) eps(m)."""
+        dat, n = self.datum, self.n
+        out = Matrix.zero(self.dim(m, q), self.dim(-m, 2 * n - q))
+        kap = eps(m) * (-1 if (m * (q + 1)) % 2 else 1)
+        for s in self.summands(m, q):
+            part = self.find(-m, 2 * n - q, (s.sigma, s.r + m))
+            if part is None:
+                continue
+            # twist balance: tw_x + tw_y + (c_x + c_y)/2 = n
+            if s.tw + part.tw + (s.c + part.c) // 2 != n:
+                raise ConsistencyError("pairing: twist imbalance at "
+                                       "m=%d,q=%d for %r"
+                                       % (m, q, sorted(s.sigma)))
+            gram = dat.ring(s.sigma).gram(s.c, part.c,
+                                          dat.trace_vec(s.sigma))
+            out.add_block(s.offset, part.offset, gram, kap)
+        return out
+
+
+class PageK(E1Page):
+    """The K page: the weight-graded page of the Cech model, truncated
+    at weight index m <= m_max (the u-tower is infinite in m)."""
+
+    variant = "K"
+
+    def __init__(self, datum, cells, m_max):
+        super().__init__(datum, cells)
+        self.m_max = m_max
+        self._selfcls = {}
+
+    def trusted(self, m):
+        """The truncation at m_max cuts the cells of weight index m_max
+        off from their d1-sources, so their E2 is too large."""
+        return m <= self.m_max - 1
+
+    def _d1_from(self, s, m, q, out):
         dat, ix = self.datum, self.datum.ix
-        tau = s.tau
+        tau = s.stratum
         ksign = -1 if (len(s.cech) - 1) % 2 else 1
         # stratumwise Gysin; a residue label inside the Cech subset
         # contributes the cup product with the self-intersection class
@@ -235,39 +342,25 @@ class E1Page:
                 .matvec(acc)
         return self._selfcls[key]
 
-    def n_mat(self, m, q):
-        """Monodromy operator cell (m, q) -> (m-2, q): the u-degree
-        shift, identity on matching summands, zero where the target
-        summand is absent."""
-        out = Matrix.zero(self.dim(m - 2, q), self.dim(m, q))
-        for s in self.summands(m, q):
-            if self.variant == "A":
-                key = (s.sigma, s.r + 1)
-            else:
-                if s.r == 0:
-                    continue
-                key = (s.cech, s.r - 1, s.sigma)
-            tgt = self.find(m - 2, q, key)
-            if tgt is None:
+    def trace_row(self):
+        """The trace functional on the cell (0, 2n), as a 1 x dim row
+        matrix.  Nonzero only on summands with r = 0 and sigma = A
+        minus one label nu; the component is
+        eps(k) (-1)^k contract_sign(nu, A) times the stratum trace."""
+        dat, ix, n = self.datum, self.datum.ix, self.n
+        row = Matrix.zero(1, self.dim(0, 2 * n))
+        for s in self.summands(0, 2 * n):
+            if s.r != 0 or not s.sigma <= s.cech \
+                    or len(s.sigma) != len(s.cech) - 1:
                 continue
-            out.add_block(tgt.offset, s.offset, Matrix.identity(s.dim))
-        return out
-
-    def l_mat(self, m, q):
-        """Lefschetz operator cell (m, q) -> (m, q+2): multiplication
-        by the ample class on every summand."""
-        out = Matrix.zero(self.dim(m, q + 2), self.dim(m, q))
-        for s in self.summands(m, q):
-            if self.variant == "A":
-                stratum, key = s.sigma, (s.sigma, s.r)
-            else:
-                stratum, key = s.tau, s.key
-            tgt = self.find(m, q + 2, key)
-            if tgt is None:
-                continue
-            out.add_block(tgt.offset, s.offset,
-                          self.datum.ample_op(stratum, s.c))
-        return out
+            nu = next(iter(s.cech - s.sigma))
+            k = len(s.cech) - 1
+            ksign = -1 if k % 2 else 1
+            coeff = eps(k) * ksign * contract_sign(ix, nu, s.cech)
+            # a trace of another length than s.dim is a ConsistencyError
+            row.add_block(0, s.offset,
+                          Matrix(1, s.dim, [dat.trace_vec(s.cech)]), coeff)
+        return row
 
 
 def build_e1_A(datum):
@@ -286,7 +379,7 @@ def build_e1_A(datum):
                     SummandA(sigma, r, c, ring.dim(c)))
     for lst in cells.values():
         lst.sort(key=lambda s: (s.r, ix.subset_key(s.sigma)))
-    return E1Page("A", datum, cells)
+    return PageA(datum, cells)
 
 
 def build_e1_K(datum):
@@ -320,7 +413,7 @@ def build_e1_K(datum):
     for lst in cells.values():
         lst.sort(key=lambda s: (ix.subset_key(s.cech), s.r,
                                 ix.subset_key(s.sigma)))
-    return E1Page("K", datum, cells, m_max=m_max)
+    return PageK(datum, cells, m_max)
 
 
 class PhiMap:
@@ -368,100 +461,6 @@ def phi_e1(page_a, page_k):
     return PhiMap(page_a, page_k, comps)
 
 
-def trace_theta(page):
-    """The trace functional on the K-page cell (0, 2n), as a 1 x dim
-    row matrix.  Nonzero only on summands with r = 0 and sigma = A
-    minus one label nu; the component is
-    eps(k) (-1)^k contract_sign(nu, A) times the stratum trace."""
-    _require_variant(page, "K")
-    dat, ix, n = page.datum, page.datum.ix, page.n
-    row = Matrix.zero(1, page.dim(0, 2 * n))
-    for s in page.summands(0, 2 * n):
-        if s.r != 0 or not s.sigma <= s.cech \
-                or len(s.sigma) != len(s.cech) - 1:
-            continue
-        nu = next(iter(s.cech - s.sigma))
-        k = len(s.cech) - 1
-        ksign = -1 if k % 2 else 1
-        coeff = eps(k) * ksign * contract_sign(ix, nu, s.cech)
-        # a trace of another length than s.dim is a ConsistencyError
-        row.add_block(0, s.offset,
-                      Matrix(1, s.dim, [dat.trace_vec(s.cech)]), coeff)
-    return row
-
-
-def _trace_row_a(page):
-    """The trace functional on the A-page cell (0, 2n): the sum of the
-    stratum traces over the r = 0 single-component summands."""
-    _require_variant(page, "A")
-    dat, n = page.datum, page.n
-    row = Matrix.zero(1, page.dim(0, 2 * n))
-    for s in page.summands(0, 2 * n):
-        if s.r == 0:
-            row.add_block(0, s.offset,
-                          Matrix(1, s.dim, [dat.trace_vec(s.sigma)]))
-    return row
-
-
-def _require_variant(page, variant):
-    if page.variant != variant:
-        raise ConsistencyError("a %s page where the %s page is needed"
-                               % (page.variant, variant))
-
-
-class Columns:
-    """The complexes (E1 cells, d1) along the lines m + q = const,
-    giving E2 = cohomology with explicit projection and section."""
-
-    def __init__(self, page):
-        self.page = page
-        self._cx = {}
-
-    def complex(self, s):
-        if s not in self._cx:
-            ms = [m for (m, q) in self.page.cells if m + q == s]
-            if not ms:
-                self._cx[s] = None
-            else:
-                lo, hi = -max(ms), -min(ms)
-                dims = {p: self.page.dim(-p, s + p)
-                        for p in range(lo, hi + 1)}
-                diffs = {p: self.page.d1(-p, s + p)
-                         for p in range(lo, hi + 1)}
-                self._cx[s] = Complex(dims, diffs)
-        return self._cx[s]
-
-    def cohomology(self, m, q):
-        """(dim, proj, sec) of the E2 cell (m, q)."""
-        cx = self.complex(m + q)
-        if cx is None or cx.dim(-m) == 0:
-            d = self.page.dim(m, q)
-            return 0, Matrix.zero(0, d), Matrix.zero(d, 0)
-        return cx.cohomology(-m)
-
-
-def _pairing_e1(page, m, q):
-    """Matrix P of the rational pairing between the E1 cells (m, q)
-    and (-m, 2n-q): the summand (sigma, r) pairs only with
-    (sigma, r+m), through the stratum cup product and trace, with
-    coefficient (-1)^(m(q+1)) eps(m)."""
-    _require_variant(page, "A")
-    dat, n = page.datum, page.n
-    out = Matrix.zero(page.dim(m, q), page.dim(-m, 2 * n - q))
-    kap = eps(m) * (-1 if (m * (q + 1)) % 2 else 1)
-    for s in page.summands(m, q):
-        part = page.find(-m, 2 * n - q, (s.sigma, s.r + m))
-        if part is None:
-            continue
-        # twist balance: tw_x + tw_y + (c_x + c_y)/2 = n
-        if s.tw + part.tw + (s.c + part.c) // 2 != n:
-            raise ConsistencyError("pairing: twist imbalance at m=%d,q=%d "
-                                   "for %r" % (m, q, sorted(s.sigma)))
-        gram = dat.ring(s.sigma).gram(s.c, part.c, dat.trace_vec(s.sigma))
-        out.add_block(s.offset, part.offset, gram, kap)
-    return out
-
-
 def pairing_descent_defect(page, m, q):
     """Q(d1 u, v) + (-1)^q Q(u, d1 v) as a matrix on the E1 cells
     (m+1, q-1) x (-m, 2n-q); zero exactly when the pairing descends
@@ -469,8 +468,8 @@ def pairing_descent_defect(page, m, q):
     n = page.n
     d_left = page.d1(m + 1, q - 1)
     d_right = page.d1(-m, 2 * n - q)
-    p_here = _pairing_e1(page, m, q)
-    p_up = _pairing_e1(page, m + 1, q - 1)
+    p_here = page.pairing(m, q)
+    p_up = page.pairing(m + 1, q - 1)
     sgn = -1 if q % 2 else 1
     return d_left.transpose() * p_here + (p_up * d_right).scale(sgn)
 
@@ -478,16 +477,15 @@ def pairing_descent_defect(page, m, q):
 class LimitMHS:
     """The limit mixed Hodge structure: E2 cells of the A page with
     weights, Hodge types, the operators N and l, the rational pairing
-    and the trace, all descended to E2."""
+    and the trace, all descended to E2, and its Lefschetz module."""
 
     def __init__(self, datum):
         self.datum = datum
         self.n = datum.n
         self.page = build_e1_A(datum)
-        self.cols = Columns(self.page)
         self.e2 = {}
         for cell in self.page.cell_keys():
-            dim, proj, sec = self.cols.cohomology(*cell)
+            dim, proj, sec = self.page.cohomology(*cell)
             if dim:
                 self.e2[cell] = (dim, proj, sec)
         self.weights = {}
@@ -515,11 +513,11 @@ class LimitMHS:
             part = self.e2.get((-m, 2 * self.n - q))
             if part is None:
                 continue
-            p1 = _pairing_e1(self.page, m, q)
+            p1 = self.page.pairing(m, q)
             self.Q[(m, q)] = sec.transpose() * p1 * part[2]
         # the trace on H^{2n}
         top = self.e2.get((0, 2 * self.n))
-        self.tr = (_trace_row_a(self.page) * top[2]) if top \
+        self.tr = (self.page.trace_row() * top[2]) if top \
             else Matrix.zero(1, 0)
         self.verdicts = self._basic_verdicts()
 
@@ -571,6 +569,31 @@ class LimitMHS:
             cur += 2
         return mat
 
+    # the weight-graded Lefschetz module: pieces L^{i,j} = gr-weight
+    # n+j-i part of H^{n+j} (the E2 cell (-i, n+j))
+
+    def piece_dim(self, i, j):
+        return self.dim(-i, self.n + j)
+
+    def bracket(self, i, j):
+        """Pairing matrix L^{-i,-j} x L^{i,j} -> Q."""
+        return self.q_block(i, self.n - j).scale(eps(j - self.n))
+
+    def primitive(self, q, i):
+        """P_i inside E2(i, q): kernel of N^{i+1} and of l^{n-q+1}."""
+        m1 = self.n_power(i, q, i + 1)
+        m2 = self.l_power(i, q, self.n - q + 1)
+        return kernel(vstack([m1, m2]))
+
+    def primitive_form(self, q, i):
+        """The rational form x -> eps(q) Q(x, l^{n-q} N^i x) on the
+        primitive piece P_i of H^q, in the basis of primitive(q, i)."""
+        prim = self.primitive(q, i)
+        op = self.l_power(-i, q, self.n - q) * self.n_power(i, q, i)
+        x = prim.basis
+        return prim, (x * self.q_block(i, q) * op * x.transpose()).scale(
+            eps(q))
+
     def _basic_verdicts(self):
         report = Report()
         n = self.n
@@ -598,48 +621,10 @@ def compute_limit(datum):
     return LimitMHS(datum)
 
 
-class HLModule:
-    """The weight-graded Lefschetz module of a limit: pieces
-    L^{i,j} = gr-weight n+j-i part of H^{n+j} (the E2 cell (-i, n+j)),
-    the bracket pairing L^{-i,-j} x L^{i,j}, primitive pieces and the
-    primitive forms."""
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.n = limit.n
-        self.checks = Report()
-
-    def piece_dim(self, i, j):
-        return self.limit.dim(-i, self.n + j)
-
-    def bracket(self, i, j):
-        """Pairing matrix L^{-i,-j} x L^{i,j} -> Q."""
-        return self.limit.q_block(i, self.n - j).scale(eps(j - self.n))
-
-    def primitive(self, q, i):
-        """P_i inside E2(i, q): kernel of N^{i+1} and of l^{n-q+1}."""
-        lim = self.limit
-        m1 = lim.n_power(i, q, i + 1)
-        m2 = lim.l_power(i, q, self.n - q + 1)
-        return kernel(vstack([m1, m2]))
-
-    def primitive_form(self, q, i):
-        """The rational form x -> eps(q) Q(x, l^{n-q} N^i x) on the
-        primitive piece P_i of H^q, in the basis of primitive(q, i)."""
-        lim = self.limit
-        prim = self.primitive(q, i)
-        op = lim.l_power(-i, q, self.n - q) * lim.n_power(i, q, i)
-        x = prim.basis
-        return prim, (x * lim.q_block(i, q) * op * x.transpose()).scale(
-            eps(q))
-
-
 def pairing(limit):
-    """Assemble the Lefschetz-module pairing data and certify the
-    pairing identities; the verdicts land in the returned module's
-    .checks report."""
-    hl = HLModule(limit)
-    report = hl.checks
+    """Certify the identities of the pairing descended to E2: descent,
+    symmetry, perfectness, orthogonality and N-antisymmetry."""
+    report = Report()
     n = limit.n
     page = limit.page
     cells = sorted(limit.e2)
@@ -675,7 +660,7 @@ def pairing(limit):
         report.add_zero("Q-N-antisymmetry", where,
                         nx.transpose() * limit.q_block(m - 2, q)
                         + limit.q_block(m, q) * ny)
-    return hl
+    return report
 
 
 def verify_polarized(limit):
@@ -684,7 +669,6 @@ def verify_polarized(limit):
     degree, and positive definiteness of the primitive forms."""
     report = Report()
     n = limit.n
-    hl = HLModule(limit)
     for q in range(0, 2 * n + 1):
         ms = sorted(m for (m, qq) in limit.e2 if qq == q)
         if not ms:
@@ -717,7 +701,7 @@ def verify_polarized(limit):
         for i in range(0, q + 1):
             if limit.dim(i, q) == 0:
                 continue
-            prim, form = hl.primitive_form(q, i)
+            prim, form = limit.primitive_form(q, i)
             if prim.dim == 0:
                 continue
             where = "P_%d at q=%d" % (i, q)
@@ -758,23 +742,21 @@ def compare_pages(datum):
         report.add_zero("phi-l-commute", where,
                         page_k.l_mat(m, q) * phi.comp(m, q)
                         - phi.comp(m, q + 2) * page_a.l_mat(m, q))
-    theta = trace_theta(page_k)
+    theta = page_k.trace_row()
     report.add_zero("theta-d1", "cell (1,%d)" % (2 * n - 1),
                     theta * page_k.d1(1, 2 * n - 1))
     report.add("theta-phi-trace", "cell (0,%d)" % (2 * n),
-               theta * phi.comp(0, 2 * n) == _trace_row_a(page_a),
+               theta * phi.comp(0, 2 * n) == page_a.trace_row(),
                "theta pulled back along phi differs from the stratum "
                "traces")
     if not d1_squares_zero:
         return report, {}  # E2 is undefined
-    cols_a = Columns(page_a)
-    cols_k = Columns(page_k)
     cell_dims = {}
-    trusted = set(page_a.cells) | {
-        (m, q) for (m, q) in page_k.cells if m <= page_k.m_max - 1}
+    trusted = {(m, q) for page in (page_a, page_k)
+               for (m, q) in page.cells if page.trusted(m)}
     for (m, q) in sorted(trusted):
-        da, pa_proj, sa = cols_a.cohomology(m, q)
-        dk, pk_proj, sk = cols_k.cohomology(m, q)
+        da, _, sa = page_a.cohomology(m, q)
+        dk, pk_proj, _ = page_k.cohomology(m, q)
         cell_dims[(m, q)] = (da, dk)
         if da == 0 and dk == 0:
             continue

@@ -18,7 +18,7 @@ from limhodge.strata import (
 )
 from limhodge.limitpage import (
     build_e1_A, build_e1_K, compute_limit, pairing, verify_polarized,
-    compare_pages, trace_theta,
+    compare_pages,
 )
 from limhodge.cli import RunConfig, run, report_render
 
@@ -125,7 +125,7 @@ def test_criterion_2_tate_curve():
         assert blk.rows == blk.cols == 1 and blk.a[0][0] != 0
         assert lim.n_power(1, 1, 2).is_zero()
         assert all(r["ok"] for r in verify_polarized(lim))
-        assert all(c["ok"] for c in pairing(lim).checks)
+        assert all(c["ok"] for c in pairing(lim))
         # independent oracle: both 3x3 d1 blocks are (co)boundary
         # matrices of the triangle and have rank 2
         labels = list(datum.ix.labels)
@@ -163,9 +163,8 @@ def test_criterion_3_smooth_projective_space():
             rep = verify_polarized(lim)
             assert all(r["ok"] for r in rep)
             # classical Hodge-Riemann signs on primitive pieces
-            hl = pairing(lim)
             for q in range(0, n + 1, 2):
-                prim, form = hl.primitive_form(q, 0)
+                prim, form = lim.primitive_form(q, 0)
                 for a in range(prim.dim):
                     assert form.a[a][a] > 0
     _criterion(3, "smooth projective space P^1 and P^2", body, 5)
@@ -190,15 +189,15 @@ def test_criterion_5_trace_and_pairing():
         for datum in all_fixtures():
             n = datum.n
             page_k = build_e1_K(datum)
-            theta = trace_theta(page_k)
+            theta = page_k.trace_row()
             assert (theta * page_k.d1(1, 2 * n - 1)).is_zero()
             lim = compute_limit(datum)
-            hl = pairing(lim)
+            report = pairing(lim)
             # twist balance is asserted inside the pairing assembly;
             # symmetry, N-antisymmetry and the orthogonality checks
             # are verdicts
-            assert all(c["ok"] for c in hl.checks), \
-                [c for c in hl.checks if not c["ok"]]
+            assert all(c["ok"] for c in report), \
+                [c for c in report if not c["ok"]]
             # the trace is rational with tr(point class) = 1
             tr = lim.tr
             point = [Q(0)] * lim.page.dim(0, 2 * n)
@@ -250,7 +249,7 @@ def _first_failure(datum):
             if not (page.d1(m - 1, q + 1) * page.d1(m, q)).is_zero():
                 return "d1-squared-%s" % page.variant
     page_k = build_e1_K(datum)
-    theta = trace_theta(page_k)
+    theta = page_k.trace_row()
     if not (theta * page_k.d1(1, 2 * datum.n - 1)).is_zero():
         return "theta-d1"
     for r in verify_polarized(compute_limit(datum)):

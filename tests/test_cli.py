@@ -10,6 +10,8 @@ import pytest
 from limhodge import cli, strata
 from limhodge.cli import RunConfig, run, report_render, main
 
+from test_limitpage import fixtures
+
 
 def write_cycle3(tmp_path, mutate=None):
     datum = strata.fixture_cycle_of_p1(3)
@@ -94,6 +96,24 @@ def test_e1_e2_pages(tmp_path):
     assert code == 0
     assert result["pages"]["A"]["cells"] == \
         result["pages"]["K"]["cells"]
+
+
+def test_e2_cells_match_compare_on_every_fixture(tmp_path):
+    """`e2` and `compare` read the same trusted window of each page:
+    the E2 cells of page A (K) are the nonzero dimA (dimK) cells."""
+    for i, datum in enumerate(fixtures()):
+        path = str(tmp_path / ("fixture%d.json" % i))
+        strata.save(datum, path)
+        code, compared = run(RunConfig("compare", path=path))
+        assert code == 0
+        code, e2 = run(RunConfig("e2", path=path, page="both"))
+        assert code == 0
+        for variant, key in (("A", "dimA"), ("K", "dimK")):
+            cells = {(c["m"], c["q"]): c["dim"]
+                     for c in e2["pages"][variant]["cells"]}
+            assert cells == {(c["m"], c["q"]): c[key]
+                             for c in compared["cells"] if c[key]}, \
+                (i, variant)
 
 
 def test_dump_includes_matrices(tmp_path):
@@ -296,32 +316,55 @@ def test_fixture_with_bad_size_exits_1(tmp_path, flags):
     assert not list(tmp_path.iterdir())
 
 
-def test_no_assert_in_source():
-    """`python -O` strips asserts, so no check may rest on one."""
+def _source_trees():
+    """(file name, syntax tree) of every module of the package."""
     src = os.path.dirname(cli.__file__)
-    found = []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            found += ["%s:%d" % (name, node.lineno)
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_no_assert_in_source():
+    """`python -O` strips asserts, so no check may rest on one."""
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in _source_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
     assert found == []
 
 
 def test_no_dense_view_outside_exactlin():
     """Matrices are read through their sparse rows, `m[i, j]` or
     `to_lists`; the dense view `.a` is for tests and tools only."""
-    src = os.path.dirname(cli.__file__)
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in _source_trees() if name != "exactlin.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "a"]
+    assert found == []
+
+
+def test_pages_differ_by_subclass_not_by_variant():
+    """No module branches on a page's `variant` string, and no subclass
+    of E1Page overrides `d1`: the traced benchmark times E1Page.d1, and
+    an override would make that metric read 0."""
     found = []
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py") and name != "exactlin.py":
-            with open(os.path.join(src, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            found += ["%s:%d" % (name, node.lineno)
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.Attribute) and node.attr == "a"]
+    pages = {"E1Page"}
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left] + node.comparators
+                if any(isinstance(x, ast.Attribute) and x.attr == "variant"
+                       for x in sides) and any(
+                           isinstance(x, ast.Constant)
+                           and isinstance(x.value, str) for x in sides):
+                    found.append("%s:%d variant" % (name, node.lineno))
+            elif isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id in pages
+                    for b in node.bases):
+                pages.add(node.name)
+                found += ["%s:%d d1" % (name, f.lineno) for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name == "d1"]
+    assert pages >= {"PageA", "PageK"}
     assert found == []
 
 

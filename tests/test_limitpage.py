@@ -8,7 +8,7 @@ from limhodge.strata import (
     fixture_product_with_p1, all_checks_pass,
 )
 from limhodge.limitpage import (
-    eps, build_e1_A, build_e1_K, phi_e1, trace_theta, compute_limit,
+    eps, build_e1_A, build_e1_K, phi_e1, compute_limit,
     pairing, verify_polarized, compare_pages, pairing_descent_defect,
 )
 
@@ -125,7 +125,7 @@ def test_phi_kills_nothing_on_p1():
 def test_theta_kills_d1():
     for datum in fixtures():
         page = build_e1_K(datum)
-        theta = trace_theta(page)
+        theta = page.trace_row()
         n = datum.n
         assert (theta * page.d1(1, 2 * n - 1)).is_zero()
 
@@ -217,9 +217,9 @@ def test_pairing_descends():
 
 def test_pairing_checks_all_fixtures():
     for datum in fixtures():
-        hl = pairing(compute_limit(datum))
-        assert all(c["ok"] for c in hl.checks), \
-            [c for c in hl.checks if not c["ok"]]
+        report = pairing(compute_limit(datum))
+        assert all(c["ok"] for c in report), \
+            [c for c in report if not c["ok"]]
 
 
 def test_cycle3_pairing_values():
@@ -233,13 +233,12 @@ def test_cycle3_pairing_values():
 
 def test_hl_module_bracket_support():
     lim = compute_limit(fixture_product_with_p1(cycle3()))
-    hl = pairing(lim)
     n = lim.n
     for (m, q) in lim.e2:
         i, j = -m, q - n
-        assert hl.piece_dim(i, j) == lim.dim(m, q)
+        assert lim.piece_dim(i, j) == lim.dim(m, q)
         # the bracket pairs L^{-i,-j} with L^{i,j} and nothing else
-        mat = hl.bracket(i, j)
+        mat = lim.bracket(i, j)
         assert mat.rows == lim.dim(i, n - j)
         assert mat.cols == lim.dim(-i, n + j)
 
@@ -255,19 +254,17 @@ def test_polarization_verdicts_all_fixtures():
 
 def test_cycle3_primitive_piece():
     lim = compute_limit(cycle3())
-    hl = pairing(lim)
-    prim, form = hl.primitive_form(1, 1)
+    prim, form = lim.primitive_form(1, 1)
     assert prim.dim == 1
     assert form.rows == 1 and form.a[0][0] > 0
 
 
 def test_p2_primitive_reduces_to_classical():
     lim = compute_limit(fixture_projective_space(2))
-    hl = pairing(lim)
-    prim, form = hl.primitive_form(0, 0)
+    prim, form = lim.primitive_form(0, 0)
     assert prim.dim == 1 and form.a[0][0] > 0
     # middle degree: H^2 is spanned by the ample class, no primitives
-    prim, _ = hl.primitive_form(2, 0)
+    prim, _ = lim.primitive_form(2, 0)
     assert prim.dim == 0
 
 
