@@ -8,7 +8,9 @@ complex carries the differential delta + (-1)^k partial on the cell of
 
 Two models are provided: the ordered model (cells indexed by injective
 tuples; hosts tau) and the alternating model (cells indexed by subsets
-with orientation twists; used by the geometric pipeline).
+with orientation twists).  No pipeline module builds either model:
+`strata` takes `IndexSet` from here, and `limitpage` only the sign
+helpers `chi`, `wedge_insert_sign` and `contract_sign`.
 
 All signs flow through the orientation bookkeeping relative to each
 subset's reference generator; the label order is serialization

@@ -416,27 +416,12 @@ def build_e1_K(datum):
     return PageK(datum, cells, m_max)
 
 
-class PhiMap:
-    """Comparison chain map from the A page to the K page."""
-
-    def __init__(self, page_a, page_k, comps):
-        self.page_a = page_a
-        self.page_k = page_k
-        self.comps = comps
-
-    def comp(self, m, q):
-        mat = self.comps.get((m, q))
-        if mat is None:
-            mat = Matrix.zero(self.page_k.dim(m, q),
-                              self.page_a.dim(m, q))
-        return mat
-
-
 def phi_e1(page_a, page_k):
     """The comparison map: the A-summand (sigma, r) is sent, for every
     subset A of sigma with |A| >= r+1, to the K-summand
     (A, |A|-1-r, sigma - A) carried by the same stratum cohomology,
-    with coefficient (-1)^(|A|-1) chi(A, sigma - A)."""
+    with coefficient (-1)^(|A|-1) chi(A, sigma - A).  Returns the
+    components {(m, q): matrix}, one for every cell of the A page."""
     ix = page_a.datum.ix
     comps = {}
     for (m, q), lst in page_a.cells.items():
@@ -458,7 +443,7 @@ def phi_e1(page_a, page_k):
                     out.add_block(tgt.offset, s.offset,
                                   Matrix.identity(s.dim), coeff)
         comps[(m, q)] = out
-    return PhiMap(page_a, page_k, comps)
+    return comps
 
 
 def pairing_descent_defect(page, m, q):
@@ -722,7 +707,13 @@ def compare_pages(datum):
     functional kills d1 and pulls back to the stratum trace sum, and
     the induced map on E2 is a cellwise isomorphism."""
     page_a, page_k = build_e1_A(datum), build_e1_K(datum)
-    phi = phi_e1(page_a, page_k)
+    comps = phi_e1(page_a, page_k)
+
+    def phi(m, q):
+        if (m, q) in comps:
+            return comps[(m, q)]
+        return Matrix.zero(page_k.dim(m, q), page_a.dim(m, q))
+
     n = datum.n
     report = Report()
     for page in (page_a, page_k):
@@ -734,19 +725,19 @@ def compare_pages(datum):
     for (m, q) in page_a.cell_keys():
         where = "m=%d,q=%d" % (m, q)
         report.add_zero("phi-chain-map", where,
-                        page_k.d1(m, q) * phi.comp(m, q)
-                        - phi.comp(m - 1, q + 1) * page_a.d1(m, q))
+                        page_k.d1(m, q) * phi(m, q)
+                        - phi(m - 1, q + 1) * page_a.d1(m, q))
         report.add_zero("phi-N-commute", where,
-                        page_k.n_mat(m, q) * phi.comp(m, q)
-                        - phi.comp(m - 2, q) * page_a.n_mat(m, q))
+                        page_k.n_mat(m, q) * phi(m, q)
+                        - phi(m - 2, q) * page_a.n_mat(m, q))
         report.add_zero("phi-l-commute", where,
-                        page_k.l_mat(m, q) * phi.comp(m, q)
-                        - phi.comp(m, q + 2) * page_a.l_mat(m, q))
+                        page_k.l_mat(m, q) * phi(m, q)
+                        - phi(m, q + 2) * page_a.l_mat(m, q))
     theta = page_k.trace_row()
     report.add_zero("theta-d1", "cell (1,%d)" % (2 * n - 1),
                     theta * page_k.d1(1, 2 * n - 1))
     report.add("theta-phi-trace", "cell (0,%d)" % (2 * n),
-               theta * phi.comp(0, 2 * n) == page_a.trace_row(),
+               theta * phi(0, 2 * n) == page_a.trace_row(),
                "theta pulled back along phi differs from the stratum "
                "traces")
     if not d1_squares_zero:
@@ -760,7 +751,7 @@ def compare_pages(datum):
         cell_dims[(m, q)] = (da, dk)
         if da == 0 and dk == 0:
             continue
-        induced = pk_proj * phi.comp(m, q) * sa
+        induced = pk_proj * phi(m, q) * sa
         report.add("E2-iso", "m=%d,q=%d" % (m, q),
                    da == dk and rank(induced) == da,
                    "E2 dims %d vs %d, induced rank %d"

@@ -101,7 +101,7 @@ class Ring:
 
 class StrataDatum:
     def __init__(self, n, labels, nerve, rings, restrictions, gysin,
-                 traces, ample, hodge_tate=True):
+                 traces, ample):
         self.n = n
         self.ix = IndexSet(labels)
         self.nerve = {frozenset(s) for s in nerve}
@@ -112,7 +112,6 @@ class StrataDatum:
                       for (a, nu), m in gysin.items()}
         self.traces = {frozenset(s): list(t) for s, t in traces.items()}
         self.ample = {frozenset(s): list(v) for s, v in ample.items()}
-        self.hodge_tate = hodge_tate
         self._structural_check()
         self._derive_missing_gysin()
 
@@ -376,26 +375,25 @@ def validate(datum):
         # (g) Hodge-Riemann on primitive parts (Hodge-Tate case): the
         # form (-1)^p t(l^{d-k} x . y) on the kernel of l^{d-k+1}
         wit = ""
-        if datum.hodge_tate:
-            for p in range(0, d // 2 + 1):
-                k = 2 * p
-                if dim(k) == 0:
-                    continue
-                lpow = Matrix.identity(dim(k))
-                for step in range(d - k):
-                    lpow = ring.mult_operator(ell, 2, k + 2 * step) * lpow
-                prim = kernel(ring.mult_operator(ell, 2, 2 * d - k) * lpow)
-                if prim.dim == 0:
-                    continue
-                x = prim.basis
-                form = x * lpow.transpose() * ring.gram(2 * d - k, k, tr) \
-                    * x.transpose()
-                asym = first_entry(form - form.transpose())
-                if asym:
-                    wit = "primitive form not symmetric in degree %d: %s" \
-                        % (k, asym)
-                elif not is_positive_definite(form.scale((-1) ** p)):
-                    wit = "primitive form not positive in degree %d" % k
+        for p in range(0, d // 2 + 1):
+            k = 2 * p
+            if dim(k) == 0:
+                continue
+            lpow = Matrix.identity(dim(k))
+            for step in range(d - k):
+                lpow = ring.mult_operator(ell, 2, k + 2 * step) * lpow
+            prim = kernel(ring.mult_operator(ell, 2, 2 * d - k) * lpow)
+            if prim.dim == 0:
+                continue
+            x = prim.basis
+            form = x * lpow.transpose() * ring.gram(2 * d - k, k, tr) \
+                * x.transpose()
+            asym = first_entry(form - form.transpose())
+            if asym:
+                wit = "primitive form not symmetric in degree %d: %s" \
+                    % (k, asym)
+            elif not is_positive_definite(form.scale((-1) ** p)):
+                wit = "primitive form not positive in degree %d" % k
         report.add("hodge-riemann", key, not wit, wit)
 
     # (b) restriction functoriality and ring maps; (h) ample restriction
@@ -572,8 +570,7 @@ def fixture_cycle_of_p1(n_components):
     return StrataDatum(
         n=1, labels=labels, nerve=nerve, rings=rings,
         restrictions=restrictions, gysin=gysin, traces=traces,
-        ample=ample,
-    )
+        ample=ample)
 
 
 def fixture_product_with_p1(datum):
@@ -638,8 +635,7 @@ def fixture_product_with_p1(datum):
         n=datum.n + 1, labels=list(datum.ix.labels),
         nerve=[set(s) for s in datum.nerve], rings=rings,
         restrictions=restrictions, gysin=gysin, traces=traces,
-        ample=ample,
-    )
+        ample=ample)
 
 
 def _kunneth_blocks(ring, k):
@@ -687,7 +683,7 @@ def dumps(datum):
     out = {
         "n": datum.n,
         "components": list(ix.labels),
-        "hodge_tate": datum.hodge_tate,
+        "hodge_tate": True,
         "strata": {},
         "restrictions": {},
         "gysin": {},
@@ -776,6 +772,9 @@ def loads(text):
     for field in ("n", "components", "strata"):
         if field not in _parsed("input", _typed, dict, data):
             raise StrataError("missing field %r" % field)
+    if data.get("hodge_tate", True) is not True:
+        raise StrataError("hodge_tate: only true is supported, got %s"
+                          % json.dumps(data["hodge_tate"]))
     n = _parsed("n", _typed, int, data["n"])
     labels = _parsed("components", _typed, list, data["components"])
     if not all(isinstance(x, str) for x in labels):
@@ -838,5 +837,4 @@ def loads(text):
     return StrataDatum(
         n=n, labels=labels, nerve=nerve, rings=rings,
         restrictions=restrictions, gysin=gysin, traces=traces,
-        ample=ample, hodge_tate=data.get("hodge_tate", True),
-    )
+        ample=ample)

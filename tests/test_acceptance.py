@@ -20,7 +20,7 @@ from limhodge.limitpage import (
     build_e1_A, build_e1_K, compute_limit, pairing, verify_polarized,
     compare_pages,
 )
-from limhodge.cli import RunConfig, run, report_render
+from limhodge.cli import build_parser, run, report_render
 
 from test_homalg import random_complex, random_chain_map, \
     random_extension
@@ -295,8 +295,9 @@ def test_criterion_9_determinism(tmp_path):
             for p in paths:
                 for command in ("validate", "e1", "e2", "mhs",
                                 "polarize", "compare"):
-                    _, result = run(RunConfig(command, path=p,
-                                              page="both"))
+                    page = ["--page", "both"] if command[0] == "e" else []
+                    _, result = run(build_parser().parse_args(
+                        [command, p] + page))
                     blob.append(report_render(result, "json"))
                     blob.append(report_render(result, "table"))
             outputs.append("".join(blob))

@@ -1,6 +1,8 @@
+import argparse
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from limhodge import cli, strata
-from limhodge.cli import RunConfig, run, report_render, main
+from limhodge.cli import build_parser, run, report_render, main
 
 from test_limitpage import fixtures
 
@@ -22,6 +24,10 @@ def write_cycle3(tmp_path, mutate=None):
     return str(path)
 
 
+def _args(*argv):
+    return build_parser().parse_args(argv)
+
+
 def test_fixture_then_validate_round_trip(tmp_path):
     out = str(tmp_path / "cycle3.json")
     code = main(["fixture", "cycle", "--components", "3", "-o", out])
@@ -31,20 +37,20 @@ def test_fixture_then_validate_round_trip(tmp_path):
 
 def test_validate_exit_codes(tmp_path):
     path = write_cycle3(tmp_path)
-    code, result = run(RunConfig("validate", path=path))
+    code, result = run(_args("validate", path))
     assert code == 0
     assert all(c["ok"] for c in result["checks"])
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, result = run(RunConfig("validate", path=str(bad)))
+    code, result = run(_args("validate", str(bad)))
     assert code == 1 and "error" in result
-    code, result = run(RunConfig("validate", path=str(tmp_path / "no")))
+    code, result = run(_args("validate", str(tmp_path / "no")))
     assert code == 3 and "error" in result
 
 
 def test_mhs_report(tmp_path):
     path = write_cycle3(tmp_path)
-    code, result = run(RunConfig("mhs", path=path))
+    code, result = run(_args("mhs", path))
     assert code == 0
     assert result["cohomology"]["1"]["weights"] == {"0": 1, "2": 1}
     text = report_render(result, "table")
@@ -58,10 +64,10 @@ def test_polarize_strict_on_negated_trace(tmp_path):
         for s in d.traces:
             d.traces[s] = [-x for x in d.traces[s]]
     path = write_cycle3(tmp_path, mutate=negate)
-    code, result = run(RunConfig("polarize", path=path))
+    code, result = run(_args("polarize", path))
     assert code == 0  # verdicts reported, non-strict exit is 0
     assert any(not c["ok"] for c in result["checks"])
-    code, result = run(RunConfig("polarize", path=path, strict=True))
+    code, result = run(_args("polarize", path, "--strict"))
     assert code == 2
     text = report_render(result, "table")
     assert "FAIL" in text and "HL-positivity" in text
@@ -69,14 +75,14 @@ def test_polarize_strict_on_negated_trace(tmp_path):
 
 def test_polarize_pass(tmp_path):
     path = write_cycle3(tmp_path)
-    code, result = run(RunConfig("polarize", path=path, strict=True))
+    code, result = run(_args("polarize", path, "--strict"))
     assert code == 0
     assert all(c["ok"] for c in result["checks"])
 
 
 def test_compare_report(tmp_path):
     path = write_cycle3(tmp_path)
-    code, result = run(RunConfig("compare", path=path))
+    code, result = run(_args("compare", path))
     assert code == 0
     cells = {(c["m"], c["q"]): (c["dimA"], c["dimK"])
              for c in result["cells"]}
@@ -86,13 +92,13 @@ def test_compare_report(tmp_path):
 
 def test_e1_e2_pages(tmp_path):
     path = write_cycle3(tmp_path)
-    code, result = run(RunConfig("e1", path=path, page="both"))
+    code, result = run(_args("e1", path, "--page", "both"))
     assert code == 0
     cells_a = {(c["m"], c["q"]): c["dim"]
                for c in result["pages"]["A"]["cells"]}
     assert cells_a == {(-1, 1): 3, (0, 0): 3, (0, 2): 3, (1, 1): 3}
     assert result["pages"]["K"]["cells"]  # truncated u-tower present
-    code, result = run(RunConfig("e2", path=path, page="both"))
+    code, result = run(_args("e2", path, "--page", "both"))
     assert code == 0
     assert result["pages"]["A"]["cells"] == \
         result["pages"]["K"]["cells"]
@@ -104,9 +110,9 @@ def test_e2_cells_match_compare_on_every_fixture(tmp_path):
     for i, datum in enumerate(fixtures()):
         path = str(tmp_path / ("fixture%d.json" % i))
         strata.save(datum, path)
-        code, compared = run(RunConfig("compare", path=path))
+        code, compared = run(_args("compare", path))
         assert code == 0
-        code, e2 = run(RunConfig("e2", path=path, page="both"))
+        code, e2 = run(_args("e2", path, "--page", "both"))
         assert code == 0
         for variant, key in (("A", "dimA"), ("K", "dimK")):
             cells = {(c["m"], c["q"]): c["dim"]
@@ -118,10 +124,10 @@ def test_e2_cells_match_compare_on_every_fixture(tmp_path):
 
 def test_dump_includes_matrices(tmp_path):
     path = write_cycle3(tmp_path)
-    code, result = run(RunConfig("e1", path=path, dump=True))
+    code, result = run(_args("e1", path, "--dump"))
     assert code == 0
     assert "0,0" in result["pages"]["A"]["d1"]
-    code, result = run(RunConfig("mhs", path=path, dump=True))
+    code, result = run(_args("mhs", path, "--dump"))
     assert code == 0
     assert "pairing" in result and "N" in result
 
@@ -283,9 +289,13 @@ def _no_components(data):
     (_set(["components"], ["C0", "C1", "C2", "C0"]),
      "components: duplicate label 'C0'"),
     (_no_components, "components: empty"),
+    (_set(["hodge_tate"], "no"),
+     'hodge_tate: only true is supported, got "no"'),
+    (_set(["hodge_tate"], False),
+     "hodge_tate: only true is supported, got false"),
 ], ids=["bad-rational", "zero-denominator", "dims-not-a-list",
         "unknown-stratum", "gysin-key-without-bar", "duplicate-component",
-        "no-components"])
+        "no-components", "hodge-tate-string", "hodge-tate-false"])
 def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
     data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(3)))
     mutate(data)
@@ -314,6 +324,105 @@ def test_fixture_with_bad_size_exits_1(tmp_path, flags):
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (1, message, ""), argv
     assert not list(tmp_path.iterdir())
+
+
+def _usage_error(argv, capsys):
+    """(exit code, stdout, stderr) of a command line that argparse
+    rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    """A usage error is an input error, exit 1, not the exit 2 of a
+    failed theorem check; `--help` still exits 0."""
+    path = write_cycle3(tmp_path)
+    for argv, message in (
+            (["mhs"], "the following arguments are required: path"),
+            (["validate", path, "--bogus"],
+             "unrecognized arguments: --bogus")):
+        code, out, err = _usage_error(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage: limhodge "), err
+        assert err.endswith(": error: %s\n" % message), err
+    code, out, err = _usage_error(["validate", "--help"], capsys)
+    assert (code, err) == (0, "") and out.startswith("usage: ")
+
+
+# The flags each command reads besides its positionals, --format and -o.
+ACCEPTED = {
+    "validate": [],
+    "e1": ["--dump", "--page"],
+    "e2": ["--page"],
+    "mhs": ["--dump"],
+    "polarize": ["--strict"],
+    "compare": [],
+    "fixture cycle": ["--components"],
+    "fixture projective": ["--dim"],
+    "fixture product": ["--components"],
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command words, parser) of every parser without subcommands."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def test_each_command_accepts_only_the_flags_it_reads(
+        tmp_path, capsys, monkeypatch):
+    leaves = dict(_leaf_parsers(build_parser()))
+    common = ["--format", "--help", "--output", "-h", "-o"]
+    assert {" ".join(words): sorted(opt for a in p._actions
+                                    for opt in a.option_strings)
+            for words, p in leaves.items()} == \
+        {name: sorted(common + flags) for name, flags in ACCEPTED.items()}
+    # Settable values: each command's arguments, the fixture kind and
+    # one size flag, --format and -o shared by the fixture kinds.
+    settable = {(words[0], a.dest) for words, p in leaves.items()
+                for a in p._actions if a.dest != "help"}
+    assert len(settable | {("fixture", "kind")}) == 27
+    monkeypatch.chdir(tmp_path)
+    path = write_cycle3(tmp_path)
+    for argv in (["validate", path, "--strict"],
+                 ["validate", path, "--dump"],
+                 ["mhs", path, "--strict"],
+                 ["polarize", path, "--dump"],
+                 ["compare", path, "--strict"],
+                 ["compare", path, "--dump"],
+                 ["e1", path, "--strict"],
+                 ["e2", path, "--strict"],
+                 ["e2", path, "--dump"],
+                 ["fixture", "projective", "--components", "3"],
+                 ["fixture", "cycle", "--dim", "2"],
+                 ["fixture", "product", "--dim", "2"]):
+        code, out, err = _usage_error(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.endswith(": error: unrecognized arguments: %s\n"
+                            % " ".join(argv[2:])), err
+    assert os.listdir(tmp_path) == ["cycle3.json"]
+
+
+def test_readme_command_lines_parse():
+    """Every `limhodge` line of README's command-line block parses, and
+    together they show every command."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line\n", 1)[1]
+    lines = block.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert lines and all(line.startswith("limhodge ") for line in lines)
+    parsed = [build_parser().parse_args(shlex.split(line)[1:])
+              for line in lines]
+    assert {args.command for args in parsed} == set(cli.COMMANDS) | \
+        {"fixture"}
 
 
 def _source_trees():

@@ -114,10 +114,10 @@ def test_cycle3_e2_cell_dims_both_pages():
 
 def test_phi_kills_nothing_on_p1():
     datum = fixture_projective_space(1)
-    phi = phi_e1(build_e1_A(datum), build_e1_K(datum))
-    for (m, q) in phi.page_a.cell_keys():
-        comp = phi.comp(m, q)
-        assert rank(comp) == phi.page_a.dim(m, q)
+    page_a = build_e1_A(datum)
+    phi = phi_e1(page_a, build_e1_K(datum))
+    for (m, q) in page_a.cell_keys():
+        assert rank(phi[(m, q)]) == page_a.dim(m, q)
 
 
 # traces

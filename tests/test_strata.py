@@ -351,6 +351,13 @@ def test_readme_input_example_validates():
     assert len(rep) == 20 and all_checks_pass(rep), rep
 
 
+def test_missing_hodge_tate_means_true():
+    text = dumps(fixture_cycle_of_p1(3))
+    data = json.loads(text)
+    del data["hodge_tate"]
+    assert dumps(loads(json.dumps(data))) == text
+
+
 def test_gram_is_the_trace_of_products():
     d = fixture_product_with_p1(fixture_product_with_p1(
         fixture_cycle_of_p1(3)))
