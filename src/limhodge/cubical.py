@@ -6,11 +6,11 @@ K(iota): K(sigma) -> K(tau) to every inclusion sigma <= tau.  Its Čech
 complex carries the differential delta + (-1)^k partial on the cell of
 Čech degree k, the filtrations W and deltaW, and the product tau.
 
-Two models are provided: the ordered model (cells indexed by injective
-tuples; hosts tau) and the alternating model (cells indexed by subsets
-with orientation twists).  No pipeline module builds either model:
-`strata` takes `IndexSet` from here, and `limitpage` only the sign
-helpers `chi`, `wedge_insert_sign` and `contract_sign`.
+The Čech complex is the ordered model: its cells are indexed by
+injective tuples of labels, which is what the product tau needs.  No
+pipeline module builds it: `strata` takes `IndexSet` from here, and
+`limitpage` only the sign helpers `chi`, `wedge_insert_sign` and
+`contract_sign`.
 
 All signs flow through the orientation bookkeeping relative to each
 subset's reference generator; the label order is serialization
@@ -19,7 +19,6 @@ metadata only.
 
 from fractions import Fraction as Q
 from itertools import permutations, combinations
-from math import factorial
 
 from .exactlin import Matrix, Subspace, _require
 from .homalg import (
@@ -59,26 +58,10 @@ def tuple_d(lam):
     return len(lam) - 1
 
 
-def tuple_underlying(lam):
-    return frozenset(lam)
-
-
 def tuple_drop(lam, i):
     if not 0 <= i <= tuple_d(lam):
         raise IndexError(i)
     return lam[:i] + lam[i + 1:]
-
-
-def tuple_head(lam, i):
-    if not 0 <= i <= tuple_d(lam):
-        raise IndexError(i)
-    return lam[:i + 1]
-
-
-def tuple_tail(lam, i):
-    if not 0 <= i <= tuple_d(lam):
-        raise IndexError(i)
-    return lam[i:]
 
 
 def tuple_injective(lam):
@@ -123,14 +106,6 @@ def contract_sign(ix, nu, a):
     if nu not in a:
         raise ValueError("label not in subset")
     return chi(ix, (nu,), a - {nu})
-
-
-def theta(ix, sigma, lam, mu):
-    """theta(sigma)(e_lam (x) e_mu) for two orderings of sigma; the
-    diagonal is sent to 1."""
-    _require(frozenset(lam) == frozenset(mu) == frozenset(sigma),
-             "theta: orderings of another subset")
-    return orientation_sign(ix, lam) * orientation_sign(ix, mu)
 
 
 class CoCubicalComplex:
@@ -219,33 +194,19 @@ def tensor_cocubical(k, l, check=False):
 
 
 class CechComplex:
-    """Total Čech complex with cell bookkeeping.
+    """Total Čech complex of the ordered model, which hosts tau.
 
-    blocks[n] is the ordered list of (k, idx, l, offset, size) with
-    k + l = n; idx is an injective tuple (ordered model) or a frozenset
-    (alternating model).
+    The cell of Čech degree k is an injective tuple of k + 1 labels
+    whose underlying subset carries a complex.  blocks[n] is the ordered
+    list of (k, idx, l, offset, size) with k + l = n and idx the tuple.
     """
 
-    def __init__(self, K, model):
-        _require(model in ("ordered", "alternating"),
-                 "unknown Cech model %r", model)
+    def __init__(self, K):
         self.K = K
-        self.model = model
         self.ix = K.ix
-        nlab = len(self.ix.labels)
-        cells = []
-        for k in range(nlab):
-            if model == "ordered":
-                idxs = [t for t in self.ix.tuples(k + 1)
-                        if frozenset(t) in K.complexes]
-            else:
-                idxs = sorted(
-                    (s for s in self.ix.subsets(k + 1)
-                     if s in K.complexes),
-                    key=self.ix.subset_key)
-            for idx in idxs:
-                cells.append((k, idx))
-        self.cells = cells
+        self.cells = cells = [(k, t) for k in range(len(self.ix.labels))
+                              for t in self.ix.tuples(k + 1)
+                              if frozenset(t) in K.complexes]
         degs = set()
         for k, idx in cells:
             c = K.complex(idx)
@@ -289,13 +250,10 @@ class CechComplex:
             if t is not None:
                 m.add_block(t[0], off, stalk.diff(l), 1 if k % 2 == 0 else -1)
             # delta part: Čech degree k -> k+1
-            if self.model == "ordered":
-                self._delta_ordered(m, k, idx, l, off, tgt_blocks)
-            else:
-                self._delta_alternating(m, k, idx, l, off, tgt_blocks)
+            self._delta(m, k, idx, l, off, tgt_blocks)
         return m
 
-    def _delta_ordered(self, m, k, lam, l, off, tgt_blocks):
+    def _delta(self, m, k, lam, l, off, tgt_blocks):
         # component of delta(f) at mu with mu_i = lam: insert any label
         # at position i
         for mu_k, mu in [(kk, ii) for (kk, ii) in tgt_blocks
@@ -308,24 +266,6 @@ class CechComplex:
                     if mat is None:
                         continue
                     m.add_block(tgt_blocks[(k + 1, mu)][0], off, mat, sgn)
-
-    def _delta_alternating(self, m, k, a, l, off, tgt_blocks):
-        for nu in self.ix.labels:
-            if nu in a:
-                continue
-            b = a | {nu}
-            t = tgt_blocks.get((k + 1, b))
-            if t is None:
-                continue
-            sgn = Q(wedge_insert_sign(self.ix, nu, a))
-            mat = self.K.map(a, b).get(l)
-            if mat is None:
-                continue
-            m.add_block(t[0], off, mat, sgn)
-
-
-def cech(K, model):
-    return CechComplex(K, model)
 
 
 def cech_filtration(cechc, filts, delta=False):
@@ -355,37 +295,13 @@ def cech_filtration(cechc, filts, delta=False):
     return FilteredComplex(cechc.total, w)
 
 
-def antisymmetrize(cech_ord, cech_alt):
-    """The chain map ordered -> alternating model:
-    f_A = (1/(k+1)!) sum over orderings lam of A of sign(lam) f_lam."""
-    _require(cech_ord.model == "ordered" and cech_alt.model == "alternating",
-             "antisymmetrize: from the ordered to the alternating model")
-    ix = cech_ord.ix
-    comps = {}
-    for n in cech_ord.total.degrees():
-        m = Matrix.zero(cech_alt.total.dim(n), cech_ord.total.dim(n))
-        tgt = {(k, idx): (off, sz)
-               for k, idx, l, off, sz in cech_alt.blocks.get(n, [])}
-        for k, lam, l, off, sz in cech_ord.blocks.get(n, []):
-            a = frozenset(lam)
-            t = tgt.get((k, a))
-            if t is None:
-                continue
-            m.add_block(t[0], off, Matrix.identity(sz),
-                        Q(orientation_sign(ix, lam), factorial(k + 1)))
-        comps[n] = m
-    return ChainMap(cech_ord.total, cech_alt.total, comps)
-
-
 def tau(cech_k, cech_l, cech_kl):
-    """The product morphism C(K) (x) C(L) -> C(K (x) L) (ordered model).
+    """The product morphism C(K) (x) C(L) -> C(K (x) L).
 
     tau_{k,l}(f (x) g)_lam = K(iota)(f_{h_k(lam)}) (x)
     L(iota)(g_{t_k(lam)}), totaled with the sign (-1)^{(p-k)l} where p
     is the total degree of f and k, l the Čech degrees.
     """
-    _require(cech_k.model == cech_l.model == cech_kl.model == "ordered",
-             "tau: needs the ordered model")
     src = tensor(cech_k.total, cech_l.total)
     tgt = cech_kl.total
     comps = {}

@@ -221,10 +221,7 @@ class Matrix:
                     _axpy(acc, x, onz[k])
                 out.append(acc)
             return Matrix.from_sparse(other.cols, out)
-        return self.scale(other)
-
-    def __rmul__(self, c):
-        return self.scale(c)
+        return NotImplemented
 
     def matvec(self, v):
         _require(len(v) == self.cols, "matvec: vector of length %d for a "

@@ -3,8 +3,8 @@
 Sign conventions: the differential of K[m] is (-1)^m d_K; the cone of
 f: K -> L is C(f)^p = K^{p+1} (+) L^p with d(x,y) = (-dx, f(x)+dy),
 alpha(f)(y) = (0,y), beta(f)(x,y) = -x; the tensor differential is
-d (x) 1 + (-1)^p 1 (x) d; the identification K[a] (x) L[b] ->
-(K (x) L)[a+b] carries the sign (-1)^{pb} on K[a]^p (x) L[b]^q.
+d (x) 1 + (-1)^p 1 (x) d.  A filtered complex carries an increasing
+filtration W by subcomplexes.
 """
 
 from fractions import Fraction as Q
@@ -238,29 +238,6 @@ def tensor_assoc(a, b, c):
     return ChainMap(src, tgt, comps)
 
 
-def shift_tensor_iso(k, l, a, b):
-    """The isomorphism K[a] (x) L[b] -> (K (x) L)[a+b].
-
-    On the summand K[a]^p (x) L[b]^q it is (-1)^{pb} times the identity
-    under the tautological identification of underlying spaces.
-    """
-    ka, lb = shift(k, a), shift(l, b)
-    src = tensor(ka, lb)
-    tgt = shift(tensor(k, l), a + b)
-    comps = {}
-    for n in src.degrees():
-        m = Matrix.zero(tgt.dim(n), src.dim(n))
-        # src summand (p, q): K[a]^p = K^{p+a}, L[b]^q = L^{q+b};
-        # tgt summand at degree n+a+b of K (x) L: (p+a, q+b).
-        tgt_off = tensor_offsets(k, l, n + a + b)
-        for (p, q), so in tensor_offsets(ka, lb, n).items():
-            to = tgt_off[(p + a, q + b)]
-            m.add_block(to, so, Matrix.identity(ka.dim(p) * lb.dim(q)),
-                        1 if (p * b) % 2 == 0 else -1)
-        comps[n] = m
-    return ChainMap(src, tgt, comps)
-
-
 def cone(f):
     """Mapping cone C(f)^p = K^{p+1} (+) L^p; returns (C, alpha, beta).
 
@@ -360,18 +337,15 @@ def connecting(f, g):
 
 
 class FilteredComplex:
-    """Complex with an increasing filtration W by subcomplexes (and an
-    optional decreasing F)."""
+    """Complex with an increasing filtration W by subcomplexes."""
 
-    def __init__(self, complex_, w, f=None, check=True):
+    def __init__(self, complex_, w, check=True):
         self.complex = complex_
         # w: {m: {p: Subspace}}; missing degrees default to zero space.
         self.w_weights = sorted(w)
         self.w = w
-        self.f = f
         if check:
             self._validate()
-        self._gr_cache = {}
 
     def _validate(self):
         c = self.complex
@@ -401,137 +375,3 @@ class FilteredComplex:
         while m not in self.w:
             m -= 1
         return self.w[m].get(p, Subspace.zero(n))
-
-    def _subquotient(self, a, b):
-        """(Complex W_a/W_b, proj {p: Matrix}, sec {p: Matrix})."""
-        c = self.complex
-        dims, projs, secs = {}, {}, {}
-        for p in c.degrees():
-            dims[p], projs[p], secs[p] = quotient(self.w_sub(a, p),
-                                                  self.w_sub(b, p))
-        diffs = {p: projs[p + 1] * c.diff(p) * secs[p]
-                 for p in c.degrees() if p + 1 in projs}
-        return Complex(dims, diffs), projs, secs
-
-    def gr(self, m):
-        """(Complex gr_m, proj {p: Matrix}, sec {p: Matrix})."""
-        if m not in self._gr_cache:
-            self._gr_cache[m] = self._subquotient(m, m - 1)
-        return self._gr_cache[m]
-
-    def gysin(self, m):
-        """gamma_m: H^p(gr_m) -> H^{p+1}(gr_{m-1}), the connecting map of
-        0 -> gr_{m-1} -> W_m/W_{m-2} -> gr_m -> 0."""
-        c = self.complex
-        grm, proj_m, sec_m = self.gr(m)
-        grm1, _, sec_m1 = self.gr(m - 1)
-        mid, mid_proj, mid_sec = self._subquotient(m, m - 2)
-        fmap = ChainMap(grm1, mid,
-                        {p: mid_proj[p] * sec_m1[p] for p in c.degrees()})
-        gmap = ChainMap(mid, grm,
-                        {p: proj_m[p] * mid_sec[p] for p in c.degrees()})
-        return connecting(fmap, gmap)
-
-
-def gr_map(kf, m, f_components):
-    """Induced map gr_m -> gr_{m-1}[1] of a degree-1 map f with
-    f(W_a) subset W_{a-1} in the next degree; returns {p: Matrix}."""
-    _, proj_m1, _ = kf.gr(m - 1)
-    _, _, sec_m = kf.gr(m)
-    out = {}
-    for p in kf.complex.degrees():
-        fm = f_components.get(p)
-        if fm is None or p + 1 not in proj_m1:
-            continue
-        out[p] = proj_m1[p + 1] * fm * sec_m[p]
-    return out
-
-
-class SpectralPage:
-    def __init__(self, page_index, cells, diffs, proj=None, sec=None):
-        self.page_index = page_index
-        self.cells = cells      # {(p, q): dim}
-        self.diffs = diffs      # {(p, q): Matrix to (p+r, q-r+1)}
-        self.proj = proj or {}
-        self.sec = sec or {}
-
-    def dim(self, p, q):
-        return self.cells.get((p, q), 0)
-
-    def diff(self, p, q):
-        r = self.page_index
-        return self.diffs.get(
-            (p, q), Matrix.zero(self.dim(p + r, q - r + 1), self.dim(p, q)))
-
-
-def spectral(kf):
-    """E1 and E2 pages of the W-spectral sequence.
-
-    E1^{p,q} = H^{p+q}(gr_{-p}); d1 is the Gysin connecting map; E2 is
-    the cohomology of (E1, d1). Returns (e1, e2, degeneration_ok) where
-    degeneration_ok reports whether sum_p dim E2^{p,q} over p+q = n
-    equals dim H^n of the total complex for every n.
-    """
-    c = kf.complex
-    weights = range(kf.w_weights[0], kf.w_weights[-1] + 1)
-    e1_cells, e1_diffs = {}, {}
-    gys = {m: kf.gysin(m) for m in weights}
-    for m in weights:
-        grm, _, _ = kf.gr(m)
-        p = -m
-        for deg in c.degrees():
-            q = deg - p
-            h = grm.betti(deg)
-            if h:
-                e1_cells[(p, q)] = h
-            mat = gys[m].get(deg)
-            if mat is not None and (h or mat.cols):
-                e1_diffs[(p, q)] = mat
-    e1 = SpectralPage(1, e1_cells, e1_diffs)
-    e2_cells, e2_proj, e2_sec = {}, {}, {}
-    for (p, q) in sorted(e1_cells):
-        dout = e1.diff(p, q)
-        din = e1.diff(p - 1, q)
-        z = kernel(dout)
-        b = image(din)
-        dim2, pr, se = quotient(z, b)
-        if dim2:
-            e2_cells[(p, q)] = dim2
-        e2_proj[(p, q)] = pr
-        e2_sec[(p, q)] = se
-    e2 = SpectralPage(2, e2_cells, {}, e2_proj, e2_sec)
-    ok = True
-    for n in c.degrees():
-        tot = sum(d for (p, q), d in e2_cells.items() if p + q == n)
-        if tot != c.betti(n):
-            ok = False
-    return e1, e2, ok
-
-
-def einf_dims_by_total_degree(kf):
-    """dim E_inf summed per total degree, via the standard Z/B formula
-    with F^p = W_{-p}; equals {n: dim H^n} once the sequence converges."""
-    c = kf.complex
-    # Run pages until stabilization by computing E_r dims directly.
-    lo_w, hi_w = kf.w_weights[0], kf.w_weights[-1]
-    span = hi_w - lo_w + 2
-
-    def w_at(m, p):
-        return kf.w_sub(m, p)
-
-    def z_r(r, m, deg):
-        # {x in W_m C^deg : dx in W_{m-r} C^{deg+1}}
-        return w_at(m, deg).preimage_under(c.diff(deg), w_at(m - r, deg + 1))
-
-    out = {}
-    r = span + 1
-    for deg in c.degrees():
-        tot = 0
-        for m in range(lo_w, hi_w + 1):
-            zr = z_r(r, m, deg)
-            zprev = z_r(r - 1, m - 1, deg)
-            dz = z_r(r - 1, m + r - 1, deg - 1).image_under(c.diff(deg - 1))
-            denom = zprev.sum(dz).intersect(zr)
-            tot += zr.dim - denom.dim
-        out[deg] = tot
-    return out

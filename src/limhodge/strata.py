@@ -163,10 +163,6 @@ class StrataDatum:
         r = self.ring(sigma)
         return r.mult_operator(self.ample[frozenset(sigma)], 2, deg)
 
-    def strata_of_size(self, k):
-        return sorted((s for s in self.nerve if len(s) == k),
-                      key=self.ix.subset_key)
-
     def euler_open(self, label):
         """chi of the open stratum of the component, by inclusion and
         exclusion over the nerve."""
@@ -217,6 +213,12 @@ class StrataDatum:
             if len(self.ample[s]) != ring.dim(2):
                 raise StrataError("ample length mismatch at %r"
                                   % (sorted(s),))
+            odd = [i for i in range(1, ring.top + 1, 2) if ring.dim(i)]
+            if odd:
+                raise StrataError(
+                    "strata/%s/dims: degree %d has dimension %d; Hodge-Tate "
+                    "data has no odd cohomology"
+                    % (skey(self.ix, s), odd[0], ring.dim(odd[0])))
             for (i, j), m in ring.mult.items():
                 expect("strata/%s/products/%d,%d" % (skey(self.ix, s), i, j),
                        m, ring.dim(i + j), ring.dim(i) * ring.dim(j))

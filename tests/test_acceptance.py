@@ -10,7 +10,7 @@ from limhodge.exactlin import Matrix, rank
 from limhodge.homalg import (
     shift, shift_map, tensor, cone, zeta, connecting,
 )
-from limhodge.cubical import IndexSet, tensor_cocubical, cech, tau
+from limhodge.cubical import IndexSet, tensor_cocubical, CechComplex, tau
 from limhodge import strata
 from limhodge.strata import (
     fixture_projective_space, fixture_cycle_of_p1,
@@ -104,8 +104,7 @@ def test_criterion_1_homological_identities():
                 K = diag_cocubical(ix, rng, maxdeg=1)
                 L = diag_cocubical(ix, rng, maxdeg=1)
                 KL = tensor_cocubical(K, L)
-                tau(cech(K, "ordered"), cech(L, "ordered"),
-                    cech(KL, "ordered"))
+                tau(CechComplex(K), CechComplex(L), CechComplex(KL))
                 instances += 1
         # tau associativity and filtration bounds
         check_tau_associativity()

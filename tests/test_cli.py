@@ -283,6 +283,7 @@ def _no_components(data):
      "strata/C0/products/0,0: "),
     (_set(["strata", "C0", "trace"], ["1/0"]), "strata/C0/trace: "),
     (_set(["strata", "C0", "dims"], 3), "strata/C0/dims: "),
+    (_set(["strata", "C0", "dims"], [1, 2, 1]), "strata/C0/dims: "),
     (_set(["restrictions", "C0|Z9"], {"0": [["1"]]}),
      "restrictions/C0|Z9: "),
     (_rename_gysin, "gysin/C0C1: "),
@@ -294,7 +295,7 @@ def _no_components(data):
     (_set(["hodge_tate"], False),
      "hodge_tate: only true is supported, got false"),
 ], ids=["bad-rational", "zero-denominator", "dims-not-a-list",
-        "unknown-stratum", "gysin-key-without-bar", "duplicate-component",
+        "odd-degree-dims", "unknown-stratum", "gysin-key-without-bar", "duplicate-component",
         "no-components", "hodge-tate-string", "hodge-tate-false"])
 def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
     data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(3)))
@@ -439,6 +440,24 @@ def test_no_assert_in_source():
     found = ["%s:%d" % (name, node.lineno)
              for name, tree in _source_trees() for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_import_in_source():
+    """Every name a module imports is used in that module."""
+    found = []
+    for name, tree in _source_trees():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += ["%s:%d %s" % (name, line, bound)
+                  for bound, line in sorted(imported.items())
+                  if bound not in used]
     assert found == []
 
 

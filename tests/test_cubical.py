@@ -3,26 +3,22 @@ from fractions import Fraction as Q
 
 import pytest
 
-from limhodge.exactlin import Matrix, Subspace, rank
+from limhodge.exactlin import Matrix, Subspace
 from limhodge.homalg import (
-    Complex, ChainMap, FilteredComplex, tensor, tensor_map, tensor_assoc,
-    tensor_offsets, spectral, gr_map,
+    Complex, ChainMap, FilteredComplex, tensor_map, tensor_assoc,
+    tensor_offsets,
 )
 from limhodge.cubical import (
-    IndexSet, tuple_d, tuple_underlying, tuple_drop, tuple_head,
-    tuple_tail, tuple_injective, orientation_sign, chi, wedge_insert_sign,
-    contract_sign, theta, CoCubicalComplex, tensor_cocubical, cech,
-    cech_filtration, antisymmetrize, tau, constant_cocubical,
+    IndexSet, tuple_d, tuple_drop, tuple_injective, orientation_sign, chi,
+    wedge_insert_sign, contract_sign, CoCubicalComplex, tensor_cocubical,
+    CechComplex, cech_filtration, tau, constant_cocubical,
 )
 
 
 def test_tuple_ops():
     lam = ("a", "b", "c")
     assert tuple_d(lam) == 2
-    assert tuple_underlying(lam) == frozenset("abc")
     assert tuple_drop(lam, 1) == ("a", "c")
-    assert tuple_head(lam, 1) == ("a", "b")
-    assert tuple_tail(lam, 1) == ("b", "c")
     assert not tuple_injective(("a", "a"))
     assert tuple_injective(lam)
     with pytest.raises(IndexError):
@@ -46,13 +42,6 @@ def test_chi_antisymmetry():
         chi(ix, {"a"}, {"a"})
 
 
-def test_theta_diagonal_is_one():
-    ix = IndexSet(["a", "b"])
-    assert theta(ix, {"a", "b"}, ("a", "b"), ("a", "b")) == 1
-    assert theta(ix, {"a", "b"}, ("b", "a"), ("b", "a")) == 1
-    assert theta(ix, {"a", "b"}, ("a", "b"), ("b", "a")) == -1
-
-
 def test_wedge_and_contract():
     ix = IndexSet(["a", "b", "c"])
     assert wedge_insert_sign(ix, "a", {"b", "c"}) == 1
@@ -67,31 +56,19 @@ def test_wedge_and_contract():
 def test_constant_complex_two_labels_models():
     ix = IndexSet(["a", "b"])
     K = constant_cocubical(ix)
-    alt = cech(K, "alternating")
-    assert alt.total.dim(0) == 2 and alt.total.dim(1) == 1
-    assert alt.total.betti(0) == 1 and alt.total.betti(1) == 0
-    ordd = cech(K, "ordered")
+    ordd = CechComplex(K)
     assert ordd.total.dim(0) == 2 and ordd.total.dim(1) == 2
     assert ordd.total.betti(0) == 1
-    # the documented model discrepancy: ordered H^1 has dimension 1
+    # the ordered model has a cell per ordering, so H^1 has dimension 1
     assert ordd.total.betti(1) == 1
 
 
 def test_single_label_both_models():
     ix = IndexSet(["a"])
     K = constant_cocubical(ix)
-    for model in ("ordered", "alternating"):
-        c = cech(K, model)
-        assert c.total.dim(0) == 1
-        assert c.total.betti(0) == 1
-
-
-def test_antisymmetrize_is_chain_map():
-    ix = IndexSet(["a", "b", "c"])
-    K = constant_cocubical(ix)
-    f = antisymmetrize(cech(K, "ordered"), cech(K, "alternating"))
-    # constructor verified commutation; check H^0 is preserved
-    assert rank(f.induced_on_cohomology(0)) == 1
+    c = CechComplex(K)
+    assert c.total.dim(0) == 1
+    assert c.total.betti(0) == 1
 
 
 def diag_cocubical(ix, rng, maxdeg=2, maxdim=2):
@@ -132,8 +109,7 @@ def test_cech_d_squared_random():
         ix = IndexSet(labels)
         for _ in range(3):
             K = diag_cocubical(ix, rng)
-            cech(K, "ordered")       # constructor asserts d^2 = 0
-            cech(K, "alternating")
+            CechComplex(K)       # constructor asserts d^2 = 0
 
 
 def test_tau_is_chain_map_constant():
@@ -141,17 +117,17 @@ def test_tau_is_chain_map_constant():
     K = constant_cocubical(ix)
     L = constant_cocubical(ix)
     KL = tensor_cocubical(K, L)
-    t = tau(cech(K, "ordered"), cech(L, "ordered"), cech(KL, "ordered"))
+    t = tau(CechComplex(K), CechComplex(L), CechComplex(KL))
     # ChainMap constructor verified d-commutation exactly
-    assert t.comp(0).rows == cech(KL, "ordered").total.dim(0)
+    assert t.comp(0).rows == CechComplex(KL).total.dim(0)
 
 
 def test_tau_degree_zero_is_pointwise_product():
     ix = IndexSet(["a", "b"])
     K = constant_cocubical(ix)
     KL = tensor_cocubical(K, K)
-    ck = cech(K, "ordered")
-    t = tau(ck, ck, cech(KL, "ordered"))
+    ck = CechComplex(K)
+    t = tau(ck, ck, CechComplex(KL))
     # on (0,0)-cochains the product is f_lam * g_lam
     m = t.comp(0)
     # source: C^0 (x) C^0 with C^0 = Q^2 (cells a, b)
@@ -165,8 +141,8 @@ def test_tau_mixed_degree_sign():
     ix = IndexSet(["a", "b"])
     K = constant_cocubical(ix)
     KL = tensor_cocubical(K, K)
-    ck = cech(K, "ordered")
-    t = tau(ck, ck, cech(KL, "ordered"))
+    ck = CechComplex(K)
+    t = tau(ck, ck, CechComplex(KL))
     m = t.comp(1)
     # source degree 1 summands: C^0 (x) C^1 and C^1 (x) C^0
     # target: C^1 cells (a,b), (b,a), each 1-dim
@@ -187,8 +163,8 @@ def test_tau_chain_map_random():
             K = diag_cocubical(ix, rng, maxdeg=1)
             L = diag_cocubical(ix, rng, maxdeg=1)
             KL = tensor_cocubical(K, L)
-            tau(cech(K, "ordered"), cech(L, "ordered"),
-                cech(KL, "ordered"))  # constructor asserts
+            tau(CechComplex(K), CechComplex(L),
+                CechComplex(KL))  # constructor asserts
 
 
 def test_tau_associativity():
@@ -202,10 +178,9 @@ def test_tau_associativity():
         LM = tensor_cocubical(L, M)
         KLM1 = tensor_cocubical(KL, M)
         KLM2 = tensor_cocubical(K, LM)
-        ck, cl, cm = cech(K, "ordered"), cech(L, "ordered"), \
-            cech(M, "ordered")
-        ckl, clm = cech(KL, "ordered"), cech(LM, "ordered")
-        cklm1, cklm2 = cech(KLM1, "ordered"), cech(KLM2, "ordered")
+        ck, cl, cm = CechComplex(K), CechComplex(L), CechComplex(M)
+        ckl, clm = CechComplex(KL), CechComplex(LM)
+        cklm1, cklm2 = CechComplex(KLM1), CechComplex(KLM2)
         t_kl = tau(ck, cl, ckl)
         t_lm = tau(cl, cm, clm)
         t_kl_m = tau(ckl, cm, cklm1)
@@ -282,8 +257,8 @@ def test_tau_filtration_bounds():
     ix = IndexSet(["a", "b"])
     K, filts = filtered_constantish(ix)
     KL = tensor_cocubical(K, K)
-    ck = cech(K, "ordered")
-    ckl = cech(KL, "ordered")
+    ck = CechComplex(K)
+    ckl = CechComplex(KL)
     t = tau(ck, ck, ckl)
     # stalk filtration on K (x) K by W_m = sum W_a (x) W_b, a+b = m
     kl_filts = {}
@@ -342,59 +317,15 @@ def test_tau_filtration_bounds():
 def test_gr_deltaw_dimension_identity():
     ix = IndexSet(["a", "b"])
     K, filts = filtered_constantish(ix)
-    for model in ("alternating", "ordered"):
-        c = cech(K, model)
-        kf = cech_filtration(c, filts, delta=True)
-        for m in range(kf.w_weights[0], kf.w_weights[-1] + 1):
-            grc, _, _ = kf.gr(m)
-            for n in c.total.degrees():
-                expect = 0
-                for k, idx, l, off, sz in c.blocks.get(n, []):
-                    s = frozenset(idx)
-                    wm = filts[s].w_sub(m + k, l).dim
-                    wm1 = filts[s].w_sub(m + k - 1, l).dim
-                    expect += wm - wm1
-                assert grc.dim(n) == expect, (model, m, n)
-
-
-def test_gysin_deltaw_decomposition():
-    # gamma_m(C(K), deltaW) = gamma_m(partial-only complex) + gr_m(delta)
-    ix = IndexSet(["a", "b"])
-    K, filts = filtered_constantish(ix)
-    c = cech(K, "alternating")
+    c = CechComplex(K)
     kf = cech_filtration(c, filts, delta=True)
-    # partial-only complex: kill all delta components (blocks with k
-    # increasing)
-    diffs2 = {}
-    for n in c.total.degrees():
-        m = Matrix(c.total.dim(n + 1), c.total.dim(n),
-                   c.total.diff(n).to_lists()) \
-            if c.total.dim(n + 1) else Matrix.zero(0, c.total.dim(n))
-        tgt = {(k, idx): (off, sz) for k, idx, l, off, sz
-               in c.blocks.get(n + 1, [])}
-        for k, idx, l, off, sz in c.blocks.get(n, []):
-            for (k2, idx2), (off2, sz2) in tgt.items():
-                if k2 == k:
-                    continue
-                for i in range(sz2):
-                    for j in range(sz):
-                        m[off2 + i, off + j] = Q(0)
-        diffs2[n] = m
-    partial_only = Complex(dict(c.total.dims), diffs2)
-    kf_partial = FilteredComplex(partial_only, kf.w)
-    delta_mats = {n: c.total.diff(n) - partial_only.diff(n)
-                  for n in c.total.degrees()}
-    for m in range(kf.w_weights[0] + 1, kf.w_weights[-1] + 1):
-        g_full = kf.gysin(m)
-        g_part = kf_partial.gysin(m)
-        corr = gr_map(kf_partial, m, delta_mats)
-        # the gr complexes of kf and kf_partial coincide, so cohomology
-        # bases align; corr is chain-level but the gr differentials on
-        # these fixtures vanish, hence chain = cohomology level
-        for n in g_full:
-            grc, _, _ = kf.gr(m)
-            grc2, _, _ = kf_partial.gr(m)
-            assert grc.diff(n).is_zero() and grc2.diff(n).is_zero()
-            expect = g_part[n] + corr.get(
-                n, Matrix.zero(g_part[n].rows, g_part[n].cols))
-            assert g_full[n] == expect, (m, n)
+    for m in range(kf.w_weights[0], kf.w_weights[-1] + 1):
+        for n in c.total.degrees():
+            expect = 0
+            for k, idx, l, off, sz in c.blocks.get(n, []):
+                s = frozenset(idx)
+                wm = filts[s].w_sub(m + k, l).dim
+                wm1 = filts[s].w_sub(m + k - 1, l).dim
+                expect += wm - wm1
+            gr = kf.w_sub(m, n).dim - kf.w_sub(m - 1, n).dim
+            assert gr == expect, (m, n)

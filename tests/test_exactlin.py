@@ -559,6 +559,11 @@ def test_sparse_arithmetic_matches_dense(r, k, c, data):
     assert (ma + neg).is_zero() and (ma - ma).is_zero()
     for f in (0, -1, Q(2, 3)):
         assert_matches(ma.scale(f), [[f * x for x in row] for row in a], k)
+    # `*` is only the matrix product; `scale` is the scalar product
+    with pytest.raises(TypeError):
+        Matrix.identity(2) * 2
+    with pytest.raises(TypeError):
+        Q(2, 3) * ma
     assert_matches(ma.transpose(), [[a[i][j] for i in range(r)]
                                     for j in range(k)], r)
     v = data.draw(st.lists(sparse_entries, min_size=k, max_size=k))

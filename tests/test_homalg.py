@@ -3,11 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from limhodge.exactlin import ConsistencyError, Matrix, Subspace, rank, image
+from limhodge.exactlin import ConsistencyError, Matrix, rank, image
 from limhodge.homalg import (
-    Complex, ChainMap, FilteredComplex, shift, shift_map, tensor,
-    shift_tensor_iso, cone, zeta, connecting, check_exact, spectral,
-    gr_map, einf_dims_by_total_degree,
+    Complex, ChainMap, shift, shift_map, tensor, cone, zeta, connecting,
+    check_exact,
 )
 
 
@@ -46,18 +45,6 @@ def test_tensor_points():
     pt = Complex({0: 1}, {})
     t = tensor(pt, pt)
     assert t.dim(0) == 1 and t.betti(0) == 1
-
-
-def test_shift_tensor_iso_sign():
-    # one-dimensional spaces in two degrees: the sign is (-1)^{p*b}.
-    k = Complex({0: 1, 1: 1}, {})
-    l = Complex({0: 1, 1: 1}, {})
-    iso = shift_tensor_iso(k, l, 1, 1)
-    # source degree -2 holds K[1]^{-1} (x) L[1]^{-1} with p = -1, b = 1.
-    assert iso.comp(-2) == M([[-1]])
-    for p in iso.source.degrees():
-        assert abs(iso.comp(p).a[0][0]) == 1 if iso.source.dim(p) == 1 \
-            else True
 
 
 def test_tensor_d_squared_random():
@@ -197,98 +184,6 @@ def test_connecting_shift_identity_random():
                 assert mat == gam_m[p - mm].scale(sgn)
 
 
-def two_step_filtered():
-    """[Q -id-> Q] with W_0 the subcomplex [0 -> Q]."""
-    c = two_term(1)
-    w = {
-        0: {0: Subspace.zero(1), 1: Subspace.full(1)},
-        1: {0: Subspace.full(1), 1: Subspace.full(1)},
-    }
-    return FilteredComplex(c, w)
-
-
-def test_gr_and_gysin_two_step():
-    kf = two_step_filtered()
-    gr1, _, _ = kf.gr(1)
-    gr0, _, _ = kf.gr(0)
-    assert gr1.dim(0) == 1 and gr1.dim(1) == 0
-    assert gr0.dim(0) == 0 and gr0.dim(1) == 1
-    gam = kf.gysin(1)
-    assert gam[0] == Matrix.identity(1) or gam[0] == M([[-1]])
-    assert rank(gam[0]) == 1
-
-
-def test_gysin_pure_weight_zero():
-    c = two_term(1)
-    w = {0: {0: Subspace.full(1), 1: Subspace.full(1)}}
-    kf = FilteredComplex(c, w)
-    for m in (0, 1):
-        gam = kf.gysin(m)
-        assert all(mat.is_zero() for mat in gam.values())
-
-
-def test_gysin_twisted_differential():
-    # d' = d + f with f(W_m) in W_{m-1} of the next degree:
-    # gamma_m(K', W) = gamma_m(K, W) + gr_m(f).
-    # zero-differential complex so gr-cohomology = gr-chain spaces and the
-    # chain-level gr_m(f) is directly comparable
-    c = Complex({0: 2, 1: 2}, {})
-    w = {
-        0: {0: Subspace(2, [[0, 1]]), 1: Subspace(2, [[0, 1]])},
-        1: {0: Subspace.full(2), 1: Subspace.full(2)},
-    }
-    kf = FilteredComplex(c, w)
-    fmat = {0: M([[0, 0], [1, 0]])}   # sends W_1 deg 0 into W_0 deg 1
-    d_new = {0: fmat[0]}
-    kf2 = FilteredComplex(Complex(c.dims, d_new), w)
-    g_old = kf.gysin(1)
-    g_new = kf2.gysin(1)
-    corr = gr_map(kf, 1, fmat)
-    assert all(mat.is_zero() for mat in g_old.values())
-    assert g_new[0] == corr[0]
-    assert rank(g_new[0]) == 1
-
-
-def test_spectral_zero_differential():
-    c = Complex({0: 2, 1: 1}, {})
-    w = {
-        0: {0: Subspace(2, [[1, 0]]), 1: Subspace.zero(1)},
-        1: {0: Subspace.full(2), 1: Subspace.full(1)},
-    }
-    kf = FilteredComplex(c, w)
-    e1, e2, ok = spectral(kf)
-    assert ok
-    assert e1.cells == e2.cells
-    assert sum(e1.cells.values()) == 3
-
-
-def test_spectral_two_step_collapse():
-    kf = two_step_filtered()
-    e1, e2, ok = spectral(kf)
-    assert sum(e1.cells.values()) == 2
-    assert e2.cells == {}
-    assert ok
-
-
-def test_spectral_convergence_random():
-    rng = random.Random(19)
-    for _ in range(8):
-        kf = random_filtered_complex(rng)
-        einf = einf_dims_by_total_degree(kf)
-        for n in kf.complex.degrees():
-            assert einf.get(n, 0) == kf.complex.betti(n)
-
-
-def test_spectral_d1_squares_to_zero_random():
-    rng = random.Random(29)
-    for _ in range(8):
-        kf = random_filtered_complex(rng)
-        e1, e2, _ = spectral(kf)
-        for (p, q) in e1.cells:
-            m2 = e1.diff(p + 1, q) * e1.diff(p, q)
-            assert m2.is_zero()
-
-
 # randomized builders
 
 def random_complex(rng, lo, hi, maxdim):
@@ -370,47 +265,6 @@ def random_extension(rng, k):
     g = ChainMap(l, m, gcomp)
     check_exact(f, g)
     return l, f, g, m
-
-
-def random_filtered_complex(rng):
-    """Random filtered complex: random d^2=0 complex with the filtration
-    by the span of the first few coordinates, corrected to be
-    d-stable by using lower-triangular-block differentials."""
-    dims = {p: rng.randint(1, 3) for p in range(0, 3)}
-    cuts = {p: sorted(rng.randint(0, dims[p]) for _ in range(2))
-            for p in dims}
-    diffs = {}
-    for p in range(0, 2):
-        mat = Matrix.zero(dims[p + 1], dims[p])
-        # entries allowed only when they map filtration level into itself:
-        # coordinate j at level lev_j(p) may hit coordinate i with
-        # lev_i(p+1) <= lev_j(p)
-        def level(pp, idx):
-            c1, c2 = cuts[pp]
-            if idx < c1:
-                return 0
-            if idx < c2:
-                return 1
-            return 2
-        for i in range(dims[p + 1]):
-            for j in range(dims[p]):
-                if level(p + 1, i) <= level(p, j):
-                    mat[i, j] = Q(rng.randint(-2, 2))
-        diffs[p] = mat
-    if not (diffs[1] * diffs[0]).is_zero():
-        diffs[1] = Matrix.zero(dims[2], dims[1])
-    c = Complex(dims, diffs)
-    w = {}
-    for mlevel in range(0, 3):
-        layer = {}
-        for p in dims:
-            c1, c2 = cuts[p]
-            cut = [c1, c2, dims[p]][mlevel]
-            rows = [[Q(1) if j == i else Q(0) for j in range(dims[p])]
-                    for i in range(cut)]
-            layer[p] = Subspace(dims[p], rows)
-        w[mlevel] = layer
-    return FilteredComplex(c, w)
 
 
 def test_complex_errors_name_degree_and_shapes():

@@ -1,8 +1,6 @@
 from fractions import Fraction as Q
 
-import pytest
-
-from limhodge.exactlin import Matrix, rank
+from limhodge.exactlin import rank
 from limhodge.strata import (
     StrataDatum, fixture_projective_space, fixture_cycle_of_p1,
     fixture_product_with_p1, all_checks_pass,

@@ -30,12 +30,16 @@ def test_projective_space_shape():
 
 def test_cycle_fixture_shape():
     d = fixture_cycle_of_p1(3)
-    assert len(d.strata_of_size(1)) == 3
-    assert len(d.strata_of_size(2)) == 3
-    pair = d.strata_of_size(2)[0]
+
+    def of_size(datum, k):
+        return sorted((s for s in datum.nerve if len(s) == k),
+                      key=datum.ix.subset_key)
+    assert len(of_size(d, 1)) == 3
+    assert len(of_size(d, 2)) == 3
+    pair = of_size(d, 2)[0]
     assert d.ring(pair).dims == [1]
     d4 = fixture_cycle_of_p1(4)
-    assert len(d4.strata_of_size(2)) == 4
+    assert len(of_size(d4, 2)) == 4
     # opposite components are disjoint
     assert frozenset({"C0", "C2"}) not in d4.nerve
 
