@@ -492,22 +492,18 @@ def image(m):
 
 
 def solve(m, b):
-    """One solution x of m·x = b, or None if inconsistent. The right
-    side b is a vector, or a Matrix whose columns are right sides: then
-    x is a Matrix, and None if any column is inconsistent. Free
-    variables are 0."""
-    vector = not isinstance(b, Matrix)
-    if vector:
-        b = Matrix(len(b), 1, [[x] for x in b])
+    """One solution x of m·x = b, the columns of the Matrix b being
+    right sides, or None if any column is inconsistent. Free variables
+    are 0."""
     _require(m.rows == b.rows, "solve: %dx%d matrix, right side of "
-             "length %d", m.rows, m.cols, b.rows)
+             "%d rows", m.rows, m.cols, b.rows)
     r, pivots = rref(hstack([m, b]))
     if pivots and pivots[-1] >= m.cols:
         return None
     x = Matrix(m.cols, b.cols)
     for pc, row in zip(pivots, r.columns(m.cols, r.cols).nz):
         x.nz[pc] = row
-    return [row.get(0, ZERO) for row in x.nz] if vector else x
+    return x
 
 
 def quotient(sub, by):

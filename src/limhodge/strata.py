@@ -56,29 +56,16 @@ class Ring:
         return m
 
     def mul(self, i, j, x, y):
-        """Product of x in H^i and y in H^j, a vector in H^{i+j}."""
-        dk = self.dim(i + j)
-        if dk == 0:
-            return []
-        di, dj = self.dim(i), self.dim(j)
+        """The products of the columns of x, classes in H^i, with those
+        of y, classes in H^j: the matrix T_ij (x (x) y), whose column
+        a * y.cols + b is x_a . y_b in H^{i+j}."""
+        di, dj, dk = self.dim(i), self.dim(j), self.dim(i + j)
         t = self.table(i, j)
-        if (len(x), len(y), t.rows, t.cols) != (di, dj, dk, di * dj):
+        if (x.rows, y.rows, t.rows, t.cols) != (di, dj, dk, di * dj):
             raise ConsistencyError(
-                "product (%d,%d): factors of length %d and %d against a "
-                "%dx%d table" % (i, j, len(x), len(y), t.rows, t.cols))
-        out = [Q(0)] * dk
-        ynz = [(b, yb) for b, yb in enumerate(y) if yb != 0]
-        for a, xa in enumerate(x):
-            if xa == 0:
-                continue
-            for b, yb in ynz:
-                c = a * dj + b
-                xy = xa * yb
-                for r, row in enumerate(t.nz):
-                    e = row.get(c)
-                    if e is not None:
-                        out[r] += e * xy
-        return out
+                "product (%d,%d): factors with %d and %d rows against a "
+                "%dx%d table" % (i, j, x.rows, y.rows, t.rows, t.cols))
+        return t * kron(x, y)
 
     def gram(self, i, j, trace):
         """The matrix t(e_a.e_b) of the pairing H^i x H^j -> Q through
@@ -93,10 +80,8 @@ class Ring:
 
     def mult_operator(self, x, i, j):
         """The matrix of (y -> x.y): H^j -> H^{i+j} for x in H^i."""
-        e = Matrix.identity(self.dim(j))
-        return Matrix(self.dim(j), self.dim(i + j),
-                      [self.mul(i, j, x, e.row(b))
-                       for b in range(self.dim(j))]).transpose()
+        return self.mul(i, j, Matrix(len(x), 1, [[v] for v in x]),
+                        Matrix.identity(self.dim(j)))
 
 
 class StrataDatum:
@@ -104,7 +89,17 @@ class StrataDatum:
                  traces, ample):
         self.n = n
         self.ix = IndexSet(labels)
-        self.nerve = {frozenset(s) for s in nerve}
+        nerve = [frozenset(s) for s in nerve]
+        for s in nerve:
+            if not s or not s <= set(self.ix.labels):
+                raise StrataError("bad nerve subset %r" % (sorted(s),))
+        self.nerve = set(nerve)
+        # Every walk over the nerve takes this order, so that a message
+        # about malformed input names the same fault on every run.
+        self.strata = sorted(self.nerve, key=self.ix.subset_key)
+        self._covers = {s: [(nu, s | {nu}) for nu in self.ix.labels
+                            if nu not in s and s | {nu} in self.nerve]
+                        for s in self.strata}
         self.rings = {frozenset(s): r for s, r in rings.items()}
         self.restrictions = {(frozenset(a), frozenset(b)): m
                              for (a, b), m in restrictions.items()}
@@ -119,6 +114,11 @@ class StrataDatum:
 
     def stratum_dim(self, sigma):
         return self.n - len(sigma) + 1
+
+    def covers(self, sigma):
+        """The pairs (nu, sigma + nu) with sigma + nu in the nerve, in
+        label order."""
+        return self._covers[frozenset(sigma)]
 
     def ring(self, sigma):
         return self.rings[frozenset(sigma)]
@@ -167,7 +167,7 @@ class StrataDatum:
         """chi of the open stratum of the component, by inclusion and
         exclusion over the nerve."""
         tot = Q(0)
-        for s in self.nerve:
+        for s in self.strata:
             if label in s:
                 chi_s = sum(self.ring(s).dims)
                 tot += Q(-1) ** (len(s) - 1) * chi_s
@@ -187,9 +187,7 @@ class StrataDatum:
                                   % (path, sorted(s)))
             return self.rings[s]
 
-        for s in self.nerve:
-            if not s or not s <= set(self.ix.labels):
-                raise StrataError("bad nerve subset %r" % (sorted(s),))
+        for s in self.strata:
             for x in s:
                 if len(s) > 1 and (s - {x}) not in self.nerve:
                     raise StrataError("nerve not subset-closed at %r"
@@ -228,12 +226,9 @@ class StrataDatum:
                             and (i, j) not in ring.mult:
                         raise StrataError("strata/%s/products/%d,%d: missing"
                                           % (skey(self.ix, s), i, j))
-        for s in self.nerve:
-            for x in self.ix.labels:
-                if x in s:
-                    continue
-                t = s | {x}
-                if t in self.nerve and (s, t) not in self.restrictions:
+        for s in self.strata:
+            for _, t in self.covers(s):
+                if (s, t) not in self.restrictions:
                     raise StrataError("missing restriction %r -> %r"
                                       % (sorted(s), sorted(t)))
         for (s, t), mats in self.restrictions.items():
@@ -256,12 +251,9 @@ class StrataDatum:
         P the trace pairing of H^{i+2} and H^c on Y_s (c = 2 dim Y_s -
         i - 2), g on H^i solves P^T g = -(P' R_c)^T, P' the pairing of
         H^i and H^c on Y_{s+nu}."""
-        for sigma in self.nerve:
-            for nu in self.ix.labels:
-                if nu in sigma:
-                    continue
-                tau = sigma | {nu}
-                if tau not in self.nerve or (sigma, nu) in self.gysin:
+        for sigma in self.strata:
+            for nu, tau in self.covers(sigma):
+                if (sigma, nu) in self.gysin:
                     continue
                 rs, rt = self.ring(sigma), self.ring(tau)
                 mats = {}
@@ -324,24 +316,24 @@ def validate(datum):
     """Run checks (a)-(h); returns a Report.
 
     Each identity of products is one matrix identity per degree tuple,
-    written with the product tables T_ij and Kronecker products. A
+    written with Ring.mul, the matrix T_ij (x (x) y). A
     tuple with an empty basis in it is skipped: the identity holds
     there. A failing check names the last failing tuple in loop
     order."""
     one = Matrix.identity
     report = Report()
-    for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
-        key = ",".join(datum.ix.sort(sigma))
+    for sigma in datum.strata:
+        key = skey(datum.ix, sigma)
         ring = datum.ring(sigma)
-        dim, T = ring.dim, ring.table
+        dim, T, mul = ring.dim, ring.table, ring.mul
         d = datum.stratum_dim(sigma)
         tr = datum.trace_vec(sigma)
         # (a) unit, graded commutativity, associativity
         wit = ""
         u = Matrix(dim(0), 1, [[1]] * dim(0))
         for j in range(0, 2 * d + 1):
-            if dim(j) and not (T(0, j) * kron(u, one(dim(j))) == one(dim(j))
-                               == T(j, 0) * kron(one(dim(j)), u)):
+            if dim(j) and not (mul(0, j, u, one(dim(j))) == one(dim(j))
+                               == mul(j, 0, one(dim(j)), u)):
                 wit = "unit fails in degree %d" % j
         for i in range(0, 2 * d + 1):
             for j in range(0, 2 * d + 1 - i):
@@ -352,8 +344,8 @@ def validate(datum):
             for j in range(0, 2 * d + 1 - i):
                 for k in range(0, 2 * d + 1 - i - j):
                     if dim(i) and dim(j) and dim(k) and dim(i + j + k) \
-                            and T(i + j, k) * kron(T(i, j), one(dim(k))) \
-                            != T(i, j + k) * kron(one(dim(i)), T(j, k)):
+                            and mul(i + j, k, T(i, j), one(dim(k))) \
+                            != mul(i, j + k, one(dim(i)), T(j, k)):
                         wit = "associativity fails at (%d,%d,%d)" % (i, j, k)
         report.add("ring-axioms", key, not wit, wit)
         # (e) Poincaré duality
@@ -399,15 +391,9 @@ def validate(datum):
         report.add("hodge-riemann", key, not wit, wit)
 
     # (b) restriction functoriality and ring maps; (h) ample restriction
-    for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
-        key = ",".join(datum.ix.sort(sigma))
-        for x in datum.ix.labels:
-            if x in sigma:
-                continue
-            tau = sigma | {x}
-            if tau not in datum.nerve:
-                continue
-            tkey = ",".join(datum.ix.sort(tau))
+    for sigma in datum.strata:
+        key = skey(datum.ix, sigma)
+        for _, tau in datum.covers(sigma):
             rs, rt = datum.ring(sigma), datum.ring(tau)
             dt = datum.stratum_dim(tau)
             r = [datum.restrict_mat(sigma, tau, deg)
@@ -420,9 +406,9 @@ def validate(datum):
                 for j in range(0, 2 * dt + 1 - i):
                     if rs.dim(i) and rs.dim(j) and rt.dim(i + j) \
                             and r[i + j] * rs.table(i, j) \
-                            != rt.table(i, j) * kron(r[i], r[j]):
+                            != rt.mul(i, j, r[i], r[j]):
                         wit = "not a ring map at degrees (%d,%d)" % (i, j)
-            where = "%s->%s" % (key, tkey)
+            where = "%s->%s" % (key, skey(datum.ix, tau))
             report.add("restriction-ring-map", where, not wit, wit)
             # (h)
             okh = datum.restrict_mat(sigma, tau, 2).matvec(
@@ -430,37 +416,28 @@ def validate(datum):
             report.add("ample-restriction", where, okh,
                        "restricted ample class differs")
         # functoriality over two-step extensions
-        for x in datum.ix.labels:
-            for y in datum.ix.labels:
-                if x >= y or x in sigma or y in sigma:
-                    continue
-                tau = sigma | {x, y}
-                if tau not in datum.nerve:
+        for x, sx in datum.covers(sigma):
+            for y, tau in datum.covers(sx):
+                if x >= y:
                     continue
                 ok = True
                 wit = ""
                 for deg in range(0, 2 * datum.stratum_dim(tau) + 1):
-                    via_x = datum.restrict_mat(sigma | {x}, tau, deg) * \
-                        datum.restrict_mat(sigma, sigma | {x}, deg)
+                    via_x = datum.restrict_mat(sx, tau, deg) * \
+                        datum.restrict_mat(sigma, sx, deg)
                     via_y = datum.restrict_mat(sigma | {y}, tau, deg) * \
                         datum.restrict_mat(sigma, sigma | {y}, deg)
                     if via_x != via_y:
                         ok, wit = False, "paths differ in degree %d" % deg
                 report.add("restriction-functoriality",
-                           "%s->%s" % (key, ",".join(datum.ix.sort(tau))),
+                           "%s->%s" % (key, skey(datum.ix, tau)),
                            ok, wit)
 
     # (c) projection formula and (d) Gysin-trace adjunction, for a in
     # H^i(Y_tau) and b in H^j(Y_sigma)
-    for sigma in sorted(datum.nerve, key=datum.ix.subset_key):
-        key = ",".join(datum.ix.sort(sigma))
-        for nu in datum.ix.labels:
-            if nu in sigma:
-                continue
-            tau = sigma | {nu}
-            if tau not in datum.nerve:
-                continue
-            wkey = "%s|%s" % (key, nu)
+    for sigma in datum.strata:
+        for nu, tau in datum.covers(sigma):
+            wkey = "%s|%s" % (skey(datum.ix, sigma), nu)
             rs, rt = datum.ring(sigma), datum.ring(tau)
             dt = datum.stratum_dim(tau)
             t_s = Matrix(1, rs.dim(rs.top), [datum.trace_vec(sigma)])
@@ -473,9 +450,9 @@ def validate(datum):
                         continue
                     # a.r(b) = T'_ij (1 (x) R_j) and
                     # g(a).b = T_{i+2,j} (G_i (x) 1)
-                    ar_b = rt.table(i, j) * kron(
-                        one(rt.dim(i)), datum.restrict_mat(sigma, tau, j))
-                    ga_b = rs.table(i + 2, j) * kron(g_i, one(rs.dim(j)))
+                    ar_b = rt.mul(i, j, one(rt.dim(i)),
+                                  datum.restrict_mat(sigma, tau, j))
+                    ga_b = rs.mul(i + 2, j, g_i, one(rs.dim(j)))
                     # (c): g(a . r(b)) = g(a) . b
                     if datum.gysin_mat(sigma, nu, i + j) * ar_b != ga_b:
                         witc = "projection formula fails at (%d,%d)" % (i, j)
@@ -635,7 +612,7 @@ def fixture_product_with_p1(datum):
             mats, datum.rings[t], datum.rings[s], rings[t], rings[s], 2)
     return StrataDatum(
         n=datum.n + 1, labels=list(datum.ix.labels),
-        nerve=[set(s) for s in datum.nerve], rings=rings,
+        nerve=datum.strata, rings=rings,
         restrictions=restrictions, gysin=gysin, traces=traces,
         ample=ample)
 
@@ -690,7 +667,7 @@ def dumps(datum):
         "restrictions": {},
         "gysin": {},
     }
-    for s in sorted(datum.nerve, key=ix.subset_key):
+    for s in datum.strata:
         ring = datum.ring(s)
         out["strata"][skey(ix, s)] = {
             "dims": ring.dims,

@@ -201,7 +201,7 @@ def test_criterion_5_trace_and_pairing():
             tr = lim.tr
             point = [Q(0)] * lim.page.dim(0, 2 * n)
             point[0] = Q(1)
-            v = lim.proj(0, 2 * n).matvec(point)
+            v = lim.e2[(0, 2 * n)][1].matvec(point)
             assert sum(a * b for a, b in zip(tr.row(0), v)) == 1
     _criterion(5, "trace and pairing suite on all fixtures", body, 30)
 

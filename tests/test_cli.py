@@ -175,7 +175,7 @@ def test_exactlin_consistency_errors_under_optimize(tmp_path):
                                 "[1, 0, 5])",
         "contains-other-ambient": "Subspace(2, [[1, 0]]).contains("
                                   "Subspace(3, [[1, 0, 7]]))",
-        "solve-long-rhs": "solve(Matrix.identity(2), [1, 2, 3])",
+        "solve-long-rhs": "solve(Matrix.identity(2), Matrix(3, 1))",
         "determinant-2x3": "determinant(Matrix(2, 3, [[1, 0, 0], "
                            "[0, 1, 0]]))",
         "sum-of-shapes": "Matrix(1, 2) + Matrix(1, 3)",
@@ -309,6 +309,36 @@ def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
             assert proc.returncode == 1, proc.stdout + proc.stderr
             assert proc.stdout.startswith("error: " + where), proc.stdout
             assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def _no_restrictions(data):
+    data["restrictions"] = {}
+
+
+def _two_long_traces(data):
+    for key in ("C0,C1", "C2,C3"):
+        data["strata"][key]["trace"] = ["1", "0"]
+
+
+@pytest.mark.parametrize("mutate, command, message", [
+    (_no_restrictions, "validate",
+     "missing restriction ['C0'] -> ['C0', 'C1']"),
+    (_two_long_traces, "mhs", "trace length mismatch at ['C0', 'C1']"),
+], ids=["no-restrictions", "two-long-traces"])
+def test_input_with_two_faults_names_the_first_under_any_hash_seed(
+        tmp_path, monkeypatch, mutate, command, message):
+    """Of two faults, the error names the first in nerve order, the
+    same one whatever order the string hashes give to sets."""
+    data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(5)))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for seed in ("1", "2", "3"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = _run_python([], ["-m", "limhodge.cli", command, str(path)],
+                           tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, "error: %s\n" % message, ""), seed
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

@@ -133,13 +133,13 @@ def test_trace_of_point_class():
         lim = compute_limit(fixture_projective_space(n))
         tr = lim.tr
         # H^{2n} is one-dimensional; the point class generates it
-        v = lim.proj(0, 2 * n).matvec([Q(1)])
+        v = lim.e2[(0, 2 * n)][1].matvec([Q(1)])
         assert sum(a * b for a, b in zip(tr.row(0), v)) == 1
 
 
 def test_cycle3_trace_identifies_components():
     lim = compute_limit(cycle3())
-    proj = lim.proj(0, 2)
+    proj = lim.e2[(0, 2)][1]
     one_first = proj.matvec([Q(1), Q(0), Q(0)])
     one_second = proj.matvec([Q(0), Q(1), Q(0)])
     assert one_first == one_second  # equal modulo d1
@@ -227,18 +227,6 @@ def test_cycle3_pairing_values():
     assert up.rows == up.cols == 1 and up.a[0][0] != 0
     # odd-degree symmetry: Q(y, x) = -Q(x, y)
     assert down == up.transpose().scale(-1)
-
-
-def test_hl_module_bracket_support():
-    lim = compute_limit(fixture_product_with_p1(cycle3()))
-    n = lim.n
-    for (m, q) in lim.e2:
-        i, j = -m, q - n
-        assert lim.piece_dim(i, j) == lim.dim(m, q)
-        # the bracket pairs L^{-i,-j} with L^{i,j} and nothing else
-        mat = lim.bracket(i, j)
-        assert mat.rows == lim.dim(i, n - j)
-        assert mat.cols == lim.dim(-i, n + j)
 
 
 # polarization

@@ -167,8 +167,8 @@ def test_mutation_sensitivity():
 
 
 def dense_mul(ring, i, j, x, y):
-    """The product as computed before the kernel skipped zeros: a dense
-    vector of all pairs times the whole table. Reference for Ring.mul."""
+    """The product of the vectors x and y as a dense vector of all pairs
+    times the whole table. Reference for Ring.mul."""
     if ring.dim(i + j) == 0:
         return []
     t = ring.table(i, j)
@@ -191,6 +191,15 @@ def vectors(n):
         lambda v: sum(x != 0 for x in v) >= min(n, 2))
 
 
+def col(v):
+    """The vector v as a one-column matrix."""
+    return Matrix(len(v), 1, [[x] for x in v])
+
+
+def column(m, c):
+    return [m[r, c] for r in range(m.rows)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_sparse_ring_mul_matches_dense(di, dj, dk, data):
@@ -202,20 +211,30 @@ def test_sparse_ring_mul_matches_dense(di, dj, dk, data):
     table = Matrix(dk, n, [[Q(0) if r * n + c in zeros else entries[r * n + c]
                             for c in range(n)] for r in range(dk)])
     ring = Ring([1, di, dj, dk], {(1, 2): table})
-    x, y = data.draw(vectors(di)), data.draw(vectors(dj))
-    out = ring.mul(1, 2, x, y)
-    assert out == dense_mul(ring, 1, 2, x, y)
-    assert all(type(v) is Q for v in out)
+    xs = data.draw(st.lists(vectors(di), min_size=1, max_size=3))
+    ys = data.draw(st.lists(vectors(dj), min_size=1, max_size=3))
+    out = ring.mul(1, 2, Matrix(di, len(xs), [list(r) for r in zip(*xs)]),
+                   Matrix(dj, len(ys), [list(r) for r in zip(*ys)]))
+    assert (out.rows, out.cols) == (dk, len(xs) * len(ys))
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            assert column(out, a * len(ys) + b) == dense_mul(ring, 1, 2, x, y)
+    assert all(type(v) is Q for row in out.to_lists() for v in row)
+    # the operator of xs[0], built column by column from the products
+    # with the basis vectors
+    e = Matrix.identity(dj)
+    assert ring.mult_operator(xs[0], 1, 2) == Matrix(dj, dk, [
+        dense_mul(ring, 1, 2, xs[0], e.row(b)) for b in range(dj)]).transpose()
 
 
 def test_ring_mul_rejects_mismatched_shapes():
     ring = Ring([1, 2, 2, 1], {(1, 2): Matrix.zero(1, 3)})
     with pytest.raises(ConsistencyError):
-        ring.mul(1, 2, [1, 0], [0, 1])
+        ring.mul(1, 2, col([1, 0]), col([0, 1]))
     ring = Ring([1, 2, 2, 1], {(1, 2): Matrix.zero(1, 4)})
     for x, y in (([1], [0, 1]), ([1, 0], [0, 1, 1])):
         with pytest.raises(ConsistencyError):
-            ring.mul(1, 2, x, y)
+            ring.mul(1, 2, col(x), col(y))
 
 
 def test_load_rejects_misshaped_tables():
@@ -370,9 +389,10 @@ def test_gram_is_the_trace_of_products():
         for i in range(ring.top + 1):
             j = ring.top - i
             unit = Matrix.identity
-            expected = [[sum(t * v for t, v in zip(tr, ring.mul(i, j, x, y)))
-                         for y in unit(ring.dim(j)).a]
-                        for x in unit(ring.dim(i)).a]
+            expected = [[sum(t * v for t, v in zip(
+                tr, column(ring.mul(i, j, col(x), col(y)), 0)))
+                for y in unit(ring.dim(j)).a]
+                for x in unit(ring.dim(i)).a]
             g = ring.gram(i, j, tr)
             assert (g.rows, g.cols, g.to_lists()) == (
                 ring.dim(i), ring.dim(j), expected)
