@@ -20,7 +20,7 @@ metadata only.
 from fractions import Fraction as Q
 from itertools import permutations, combinations
 
-from .exactlin import Matrix, Subspace, _require
+from .exactlin import Matrix, Subspace, _require, kron
 from .homalg import (
     Complex, ChainMap, FilteredComplex, tensor, tensor_offsets, tensor_map,
 )
@@ -330,21 +330,17 @@ def tau(cech_k, cech_l, cech_kl):
                     lmat = cech_l.K.map(frozenset(nu), sig).get(b)
                     if kmat is None or lmat is None:
                         continue
-                    # position inside the stalk tensor (K (x) L)(lam)^
-                    # {a+b}: summand (a, b)
-                    kl_stalk_k = cech_k.K.complex(sig)
-                    kl_stalk_l = cech_l.K.complex(sig)
-                    stoff = tensor_offsets(kl_stalk_k, kl_stalk_l,
+                    # kcols (x) lcols reads f_mu (x) g_nu off the summand
+                    # (p, q) and maps it by K(iota) (x) L(iota) into the
+                    # summand (a, b) of the stalk (K (x) L)(lam)^{a+b}
+                    stoff = tensor_offsets(cech_k.K.complex(sig),
+                                           cech_l.K.complex(sig),
                                            a + b)[(a, b)]
-                    dlb = kl_stalk_l.dim(b)
-                    for i1, row1 in enumerate(kmat.nz):
-                        for j1, c1 in row1.items():
-                            for i2, row2 in enumerate(lmat.nz):
-                                for j2, c2 in row2.items():
-                                    row = toff + stoff + i1 * dlb + i2
-                                    col = so + (offk + j1) * \
-                                        cech_l.total.dim(q) + offl + j2
-                                    m[row, col] += sgn * c1 * c2
+                    kcols = Matrix.zero(kmat.rows, cech_k.total.dim(p))
+                    kcols.add_block(0, offk, kmat)
+                    lcols = Matrix.zero(lmat.rows, cech_l.total.dim(q))
+                    lcols.add_block(0, offl, lmat)
+                    m.add_block(toff + stoff, so, kron(kcols, lcols), sgn)
         comps[n] = m
     return ChainMap(src, tgt, comps)
 

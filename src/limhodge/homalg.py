@@ -134,23 +134,11 @@ def shift_map(f, m):
                     {p - m: f.comp(p) for p in f.f}, check=False)
 
 
-def tensor_summands(k, l, n):
-    """Ordered summand list [(p, q)] with p+q = n, p ascending."""
-    out = []
-    for p in k.degrees():
-        q = n - p
-        if k.dim(p) > 0 and l.dim(q) > 0:
-            out.append((p, q))
-    return out
-
-
 def tensor(k, l):
     """Total complex of K (x) L with the Koszul-sign differential."""
     lo, hi = k.lo + l.lo, k.hi + l.hi
-    dims = {}
-    for n in range(lo, hi + 1):
-        dims[n] = sum(k.dim(p) * l.dim(n - p) for p, _ in
-                      tensor_summands(k, l, n))
+    dims = {n: sum(k.dim(p) * l.dim(n - p) for p in k.degrees())
+            for n in range(lo, hi + 1)}
     if not any(dims.values()):
         return zero_complex()
     offsets = {n: tensor_offsets(k, l, n) for n in range(lo, hi + 1)}
@@ -175,12 +163,15 @@ def tensor(k, l):
 
 
 def tensor_offsets(k, l, n):
-    """{(p, q): offset} into the basis of (K (x) L)^n."""
+    """{(p, q): offset} into the basis of (K (x) L)^n: the summands
+    K^p (x) L^q, p + q = n, of nonzero dimension, p ascending."""
     off = {}
     pos = 0
-    for p, q in tensor_summands(k, l, n):
-        off[(p, q)] = pos
-        pos += k.dim(p) * l.dim(q)
+    for p in k.degrees():
+        size = k.dim(p) * l.dim(n - p)
+        if size:
+            off[(p, n - p)] = pos
+            pos += size
     return off
 
 
@@ -222,18 +213,14 @@ def tensor_assoc(a, b, c):
         soff = tensor_offsets(ab, c, n)
         toff = tensor_offsets(a, bc, n)
         for (pq, r), so in soff.items():
-            aboff = tensor_offsets(a, b, pq)
-            for (p, q), abo in aboff.items():
-                bcoff = tensor_offsets(b, c, q + r)
-                to = toff[(p, q + r)] + 0
-                bco = bcoff[(q, r)]
-                da, db, dc = a.dim(p), b.dim(q), c.dim(r)
-                dbc = bc.dim(q + r)
-                for i in range(da):
-                    for j in range(db):
-                        for k_ in range(dc):
-                            col = so + (abo + i * db + j) * dc + k_
-                            m[to + i * dbc + bco + j * dc + k_, col] = 1
+            dc = c.dim(r)
+            for (p, q), abo in tensor_offsets(a, b, pq).items():
+                # move embeds B^q (x) C^r at its offset in (B (x) C)^{q+r}
+                move = Matrix.zero(bc.dim(q + r), b.dim(q) * dc)
+                move.add_block(tensor_offsets(b, c, q + r)[(q, r)], 0,
+                               Matrix.identity(b.dim(q) * dc))
+                m.add_block(toff[(p, q + r)], so + abo * dc,
+                            kron(Matrix.identity(a.dim(p)), move))
         comps[n] = m
     return ChainMap(src, tgt, comps)
 

@@ -73,10 +73,10 @@ class Ring:
         dim(i) rows of dim(j)."""
         row = (Matrix(1, len(trace), [trace]) * self.table(i, j)).nz[0]
         dj = self.dim(j)
-        out = Matrix(self.dim(i), dj)
+        out = [{} for _ in range(self.dim(i))]
         for c, x in row.items():
-            out[c // dj, c % dj] = x
-        return out
+            out[c // dj][c % dj] = x
+        return Matrix.from_sparse(dj, out)
 
     def mult_operator(self, x, i, j):
         """The matrix of (y -> x.y): H^j -> H^{i+j} for x in H^i."""
@@ -234,11 +234,16 @@ class StrataDatum:
         for (s, t), mats in self.restrictions.items():
             path = "restrictions/%s|%s" % (skey(self.ix, s),
                                            skey(self.ix, t))
+            if not (s < t and len(t) == len(s) + 1):
+                raise StrataError("%s: the second stratum is not the first "
+                                  "plus one label" % path)
             rs, rt = ring_of(s, path), ring_of(t, path)
             for deg, m in mats.items():
                 expect("%s/%d" % (path, deg), m, rt.dim(deg), rs.dim(deg))
         for (s, nu), mats in self.gysin.items():
             path = "gysin/%s|%s" % (skey(self.ix, s), nu)
+            if nu in s:
+                raise StrataError("%s: %s is in the stratum" % (path, nu))
             rs, rt = ring_of(s, path), ring_of(s | {nu}, path)
             for deg, m in mats.items():
                 expect("%s/%d" % (path, deg), m, rs.dim(deg + 2),
@@ -356,14 +361,18 @@ def validate(datum):
             elif dim(k) and rank(ring.gram(k, 2 * d - k, tr)) != dim(k):
                 wit = "degenerate pairing in degree %d" % k
         report.add("poincare-duality", key, not wit, wit)
-        # (f) hard Lefschetz
+        # (f) hard Lefschetz, with lop[b] = l on H^b and lef[b] = l^{d-b}
+        # on H^b, b <= d
         wit = ""
         ell = datum.ample[sigma]
+        lop = [ring.mult_operator(ell, 2, b) for b in range(2 * d + 1)]
+        lef = []
+        for b in range(d + 1):
+            lef.append(one(dim(b)))
+            for c in range(b, 2 * d - b, 2):
+                lef[b] = lop[c] * lef[b]
         for k in range(1, d + 1):
-            op = Matrix.identity(dim(d - k))
-            for step in range(k):
-                op = ring.mult_operator(ell, 2, d - k + 2 * step) * op
-            if dim(d - k) != dim(d + k) or rank(op) != dim(d - k):
+            if dim(d - k) != dim(d + k) or rank(lef[d - k]) != dim(d - k):
                 wit = "l^%d not an isomorphism" % k
         report.add("hard-lefschetz", key, not wit, wit)
         # (g) Hodge-Riemann on primitive parts (Hodge-Tate case): the
@@ -373,14 +382,11 @@ def validate(datum):
             k = 2 * p
             if dim(k) == 0:
                 continue
-            lpow = Matrix.identity(dim(k))
-            for step in range(d - k):
-                lpow = ring.mult_operator(ell, 2, k + 2 * step) * lpow
-            prim = kernel(ring.mult_operator(ell, 2, 2 * d - k) * lpow)
+            prim = kernel(lop[2 * d - k] * lef[k])
             if prim.dim == 0:
                 continue
             x = prim.basis
-            form = x * lpow.transpose() * ring.gram(2 * d - k, k, tr) \
+            form = x * lef[k].transpose() * ring.gram(2 * d - k, k, tr) \
                 * x.transpose()
             asym = first_entry(form - form.transpose())
             if asym:
@@ -554,62 +560,40 @@ def fixture_cycle_of_p1(n_components):
 
 def fixture_product_with_p1(datum):
     """Künneth product of every stratum with P^1 (all classes are of
-    even degree, so no Koszul signs enter)."""
+    even degree, so no Koszul signs enter). Degree k of Y x P^1 is
+    H^k(Y) (x) 1, then H^{k-2}(Y) (x) h, and h.h = 0: so the product
+    table (i, j) is the sum of the products of Y on the fiber parts
+    (u, v) of its factors, placed in the fiber part u + v."""
     rings = {}
     traces = {}
     ample = {}
-    restrictions = {}
-    gysin = {}
+    fibers = {}
     for s, r in datum.rings.items():
-        d = datum.stratum_dim(s)
-        new_top = 2 * (d + 1)
-        dims = [r.dim(k) + r.dim(k - 2) for k in range(new_top + 1)]
+        c = fibers[s] = _fibers(r)
+        top = r.top + 2
+        dims = [r.dim(k) + r.dim(k - 2) for k in range(top + 1)]
         mult = {}
-        for i in range(0, new_top + 1):
-            for j in range(0, new_top + 1 - i):
-                di, dj, dij = dims[i], dims[j], dims[i + j]
-                m = Matrix.zero(dij, di * dj)
-                offi, offj, offij = (_kunneth_blocks(r, x)
-                                     for x in (i, j, i + j))
-                for (i1, u1), o1 in offi.items():
-                    for (i2, u2), o2 in offj.items():
-                        if u1 + u2 > 2:
-                            continue
-                        tgt = offij.get((i1 + i2, u1 + u2))
-                        if tgt is None:
-                            continue
-                        for rr_, row in enumerate(r.table(i1, i2).nz):
-                            for c, x in row.items():
-                                a, b = divmod(c, r.dim(i2))
-                                m[tgt + rr_, (o1 + a) * dj + o2 + b] += x
-                mult[(i, j)] = m
-        nr = Ring(dims, mult)
-        rings[s] = nr
-        # trace: t(x (x) fiber point class) = t(x)
-        tv = [Q(0)] * dims[new_top]
-        offt = _kunneth_blocks(r, new_top)
-        if (r.top, 2) in offt:
-            o = offt[(r.top, 2)]
-            for a, c in enumerate(datum.traces[s]):
-                tv[o + a] = c
-        traces[s] = tv
-        # ample: l (x) 1 + 1 (x) h
-        av = [Q(0)] * dims[2]
-        off2 = _kunneth_blocks(r, 2)
-        if (2, 0) in off2:
-            for a, c in enumerate(datum.ample[s]):
-                av[off2[(2, 0)] + a] = c
-        if (0, 2) in off2:
-            for a, c in enumerate(r.unit):
-                av[off2[(0, 2)] + a] += c
-        ample[s] = av
-    for (s, t), mats in datum.restrictions.items():
-        restrictions[(s, t)] = _kunneth_lift(
-            mats, datum.rings[s], datum.rings[t], rings[s], rings[t], 0)
-    for (s, nu), mats in datum.gysin.items():
-        t = s | {nu}
-        gysin[(s, nu)] = _kunneth_lift(
-            mats, datum.rings[t], datum.rings[s], rings[t], rings[s], 2)
+        for i in range(0, top + 1):
+            for j in range(0, top + 1 - i):
+                m = mult[(i, j)] = Matrix.zero(dims[i + j], dims[i] * dims[j])
+                for u, v in ((0, 0), (0, 2), (2, 0)):
+                    if r.dim(i - u) and r.dim(j - v):
+                        prod = r.mul(i - u, j - v, c[(i, u)], c[(j, v)])
+                        m.add_block(r.dim(i + j) if u + v else 0, 0, prod)
+        rings[s] = Ring(dims, mult)
+        # t(x (x) h) = t(x); the ample class is l (x) 1 + 1 (x) h
+        t, ell, one = datum.traces[s], datum.ample[s], r.unit
+        traces[s] = (Matrix(1, len(t), [t]) * c[(top, 2)]).row(0)
+        ample[s] = (Matrix(1, len(ell), [ell]) * c[(2, 0)]
+                    + Matrix(1, len(one), [one]) * c[(2, 2)]).row(0)
+    restrictions = {
+        (s, t): _kunneth_lift(mats, fibers[s], datum.rings[t], rings[s],
+                              rings[t], 0)
+        for (s, t), mats in datum.restrictions.items()}
+    gysin = {
+        (s, nu): _kunneth_lift(mats, fibers[s | {nu}], datum.rings[s],
+                               rings[s | {nu}], rings[s], 2)
+        for (s, nu), mats in datum.gysin.items()}
     return StrataDatum(
         n=datum.n + 1, labels=list(datum.ix.labels),
         nerve=datum.strata, rings=rings,
@@ -617,32 +601,31 @@ def fixture_product_with_p1(datum):
         ample=ample)
 
 
-def _kunneth_blocks(ring, k):
-    """Offsets of the blocks (i, u), i + u = k, u in {0, 2}, of degree k
-    in ring (x) H(P^1); the (k, 0) block precedes the (k-2, 2) block."""
+def _fibers(ring):
+    """{(k, u): C} for each degree k of ring (x) H(P^1) and u in {0, 2}:
+    the 0/1 matrix C that reads the H^{k-u} coordinates of x (x) h^{u/2}
+    off a class of degree k."""
     out = {}
-    pos = 0
-    for u in (0, 2):
-        if ring.dim(k - u):
-            out[(k - u, u)] = pos
-            pos += ring.dim(k - u)
+    for k in range(ring.top + 3):
+        lo = ring.dim(k)
+        rows = Matrix.identity(lo + ring.dim(k - 2)).nz
+        out[(k, 0)] = Matrix.from_sparse(len(rows), rows[:lo])
+        out[(k, 2)] = Matrix.from_sparse(len(rows), rows[lo:])
     return out
 
 
-def _kunneth_lift(mats, base_src, base_tgt, src, tgt, shift):
-    """Lift the maps mats[i]: H^i(base_src) -> H^{i+shift}(base_tgt)
-    to the Künneth products src -> tgt with P^1, as the same block on
-    both fiber parts u = 0, 2, in every degree of the smaller stratum."""
+def _kunneth_lift(mats, fibers, base_tgt, src, tgt, shift):
+    """Lift the maps mats[i]: H^i(Y) -> H^{i+shift}(base_tgt) to the
+    Künneth products src -> tgt with P^1, as the same block on both
+    fiber parts u = 0, 2, in every degree of the smaller stratum; src is
+    Y x P^1 and `fibers` are those of Y."""
     new = {}
     for k in range(min(src.top, tgt.top) + 1):
-        m = Matrix.zero(tgt.dim(k + shift), src.dim(k))
-        targets = _kunneth_blocks(base_tgt, k + shift)
-        for (i, u), so in _kunneth_blocks(base_src, k).items():
-            to = targets.get((i + shift, u))
-            if to is None or i not in mats:
-                continue
-            m.add_block(to, so, mats[i])
-        new[k] = m
+        m = new[k] = Matrix.zero(tgt.dim(k + shift), src.dim(k))
+        for u in (0, 2):
+            if k - u in mats:
+                m.add_block(base_tgt.dim(k + shift) if u else 0, 0,
+                            mats[k - u] * fibers[(k, u)])
     return new
 
 
@@ -706,10 +689,20 @@ def _parsed(path, parse, *args):
 
 
 def _typed(kind, value):
-    if not isinstance(value, kind):
-        raise TypeError("expected a %s, got %s"
-                        % (kind.__name__, type(value).__name__))
+    """value, if it has the JSON type kind; a bool is not an int."""
+    if type(value) is not kind:
+        raise TypeError("expected %s %s, got %s" % (
+            "an" if kind is int else "a", kind.__name__, type(value).__name__))
     return value
+
+
+def _degree(key):
+    """The int of a key written as str(int) writes it, so that no two
+    keys name the same degree."""
+    d = int(key)
+    if str(d) != key:
+        raise ValueError("expected an integer key, got %r" % key)
+    return d
 
 
 def _split(key, sep):
@@ -720,13 +713,15 @@ def _split(key, sep):
 
 
 def _vector(value):
-    return [rat_from_str(x) for x in _typed(list, value)]
+    return [rat_from_str(_typed(str, x)) for x in _typed(list, value)]
 
 
 def _table(value, rows, cols):
     """The matrix of a JSON table that should be rows x cols; only a
     ragged one is rejected here, any other shape in _structural_check."""
     table = [_typed(list, r) for r in _typed(list, value)]
+    # every entry a string: "" stands in when none is another type
+    _typed(str, next((x for r in table for x in r if type(x) is not str), ""))
     if any(len(r) != len(table[0]) for r in table):
         raise ValueError("expected %dx%d, got ragged rows" % (rows, cols))
     return Matrix.from_json(table, cols)
@@ -737,7 +732,7 @@ def _maps(path, mats, source, target, shift):
     deg + shift of the ring `target`."""
     out = {}
     for deg, m in _parsed(path, _typed, dict, mats).items():
-        d = _parsed("%s/%s" % (path, deg), int, deg)
+        d = _parsed("%s/%s" % (path, deg), _degree, deg)
         out[d] = _parsed("%s/%s" % (path, deg), _table, m,
                          target.dim(d + shift), source.dim(d))
     return out
@@ -792,7 +787,7 @@ def loads(text):
         for ij, m in _parsed(path + "/products", _typed, dict,
                              entry["products"]).items():
             where = "%s/products/%s" % (path, ij)
-            i, j = (_parsed(where, int, x)
+            i, j = (_parsed(where, _degree, x)
                     for x in _parsed(where, _split, ij, ","))
             ring.mult[(i, j)] = _parsed(where, _table, m, ring.dim(i + j),
                                         ring.dim(i) * ring.dim(j))

@@ -294,9 +294,34 @@ def _no_components(data):
      'hodge_tate: only true is supported, got "no"'),
     (_set(["hodge_tate"], False),
      "hodge_tate: only true is supported, got false"),
+    (_set(["n"], True), "n: expected an int, got bool"),
+    (_set(["strata", "C0", "ample"], [0.1]),
+     "strata/C0/ample: expected a str, got float"),
+    (_set(["strata", "C0", "trace"], [1]),
+     "strata/C0/trace: expected a str, got int"),
+    (_set(["strata", "C0", "products", "0,0"], [[1]]),
+     "strata/C0/products/0,0: expected a str, got int"),
+    (_set(["restrictions", "C0|C0,C1", "0"], [[1]]),
+     "restrictions/C0|C0,C1/0: expected a str, got int"),
+    (_set(["restrictions", "C0|C1"], {"0": [["1"]]}),
+     "restrictions/C0|C1: the second stratum is not the first plus one "
+     "label"),
+    (_set(["gysin", "C0|C0"], {"0": [["-1"]]}),
+     "gysin/C0|C0: C0 is in the stratum"),
+    (_set(["restrictions", "C0|C0,C1", " 0"], [["1"]]),
+     "restrictions/C0|C0,C1/ 0: expected an integer key, got ' 0'"),
+    (_set(["gysin", "C0|C1", "+0"], [["-1"]]),
+     "gysin/C0|C1/+0: expected an integer key, got '+0'"),
+    (_set(["strata", "C0", "products", "02,0"], [["1"]]),
+     "strata/C0/products/02,0: expected an integer key, got '02'"),
 ], ids=["bad-rational", "zero-denominator", "dims-not-a-list",
-        "odd-degree-dims", "unknown-stratum", "gysin-key-without-bar", "duplicate-component",
-        "no-components", "hodge-tate-string", "hodge-tate-false"])
+        "odd-degree-dims", "unknown-stratum", "gysin-key-without-bar",
+        "duplicate-component", "no-components", "hodge-tate-string",
+        "hodge-tate-false", "n-bool", "float-rational", "int-rational",
+        "int-product-entry", "int-restriction-entry",
+        "restriction-not-a-cover", "gysin-label-in-stratum",
+        "degree-key-with-space", "degree-key-with-plus",
+        "product-key-with-zero"])
 def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
     data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(3)))
     mutate(data)
@@ -488,6 +513,22 @@ def test_no_unused_import_in_source():
         found += ["%s:%d %s" % (name, line, bound)
                   for bound, line in sorted(imported.items())
                   if bound not in used]
+    assert found == []
+
+
+def test_no_matrix_entry_store_outside_exactlin():
+    """Only `exactlin` writes a matrix entry by its index: every other
+    module builds a matrix from blocks, with `kron` and
+    `Matrix.add_block`. Such a write is a store to a bare pair
+    subscript, `m[i, j] = x` or `m[i, j] += x`; a dict keyed by a pair
+    writes its key in parentheses, `d[(i, j)] = x`, which is allowed."""
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in _source_trees() if name != "exactlin.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.ctx, ast.Store)
+             and isinstance(node.slice, ast.Tuple) and node.slice.elts
+             and node.slice.col_offset == node.slice.elts[0].col_offset]
     assert found == []
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from limhodge.exactlin import Matrix, Subspace
 from limhodge.homalg import (
-    Complex, ChainMap, FilteredComplex, tensor_map, tensor_assoc,
+    Complex, ChainMap, FilteredComplex, tensor, tensor_map, tensor_assoc,
     tensor_offsets,
 )
 from limhodge.cubical import (
@@ -165,6 +165,90 @@ def test_tau_chain_map_random():
             KL = tensor_cocubical(K, L)
             tau(CechComplex(K), CechComplex(L),
                 CechComplex(KL))  # constructor asserts
+
+
+def entrywise_tau(cech_k, cech_l, cech_kl):
+    """The reference for `tau`: each product of an entry of K(iota) with
+    one of L(iota), added at its index, with the sign (-1)^{(p-k)l}."""
+    src = tensor(cech_k.total, cech_l.total)
+    comps = {}
+    for n in src.degrees():
+        m = Matrix.zero(cech_kl.total.dim(n), src.dim(n))
+        tgt_blocks = {(k, idx): off
+                      for k, idx, l, off, sz in cech_kl.blocks.get(n, [])}
+        soff = tensor_offsets(cech_k.total, cech_l.total, n)
+        for (p, q), so in soff.items():
+            for kf, mu, a, offk, _ in cech_k.blocks.get(p, []):
+                for lg, nu, b, offl, _ in cech_l.blocks.get(q, []):
+                    lam = mu + nu[1:]
+                    key = (kf + lg, lam)
+                    if mu[-1] != nu[0] or not tuple_injective(lam) \
+                            or key not in tgt_blocks:
+                        continue
+                    sgn = Q(1) if ((p - kf) * lg) % 2 == 0 else Q(-1)
+                    sig = frozenset(lam)
+                    kmat = cech_k.K.map(frozenset(mu), sig).get(a)
+                    lmat = cech_l.K.map(frozenset(nu), sig).get(b)
+                    if kmat is None or lmat is None:
+                        continue
+                    stalk_l = cech_l.K.complex(sig)
+                    stoff = tensor_offsets(cech_k.K.complex(sig), stalk_l,
+                                           a + b)[(a, b)]
+                    for i1, row1 in enumerate(kmat.nz):
+                        for j1, c1 in row1.items():
+                            for i2, row2 in enumerate(lmat.nz):
+                                for j2, c2 in row2.items():
+                                    row = tgt_blocks[key] + stoff \
+                                        + i1 * stalk_l.dim(b) + i2
+                                    col = so + (offk + j1) * \
+                                        cech_l.total.dim(q) + offl + j2
+                                    m[row, col] += sgn * c1 * c2
+        comps[n] = m
+    return comps
+
+
+def test_tau_matches_entrywise_reference():
+    rng = random.Random(53)
+    for labels in (["a", "b"], ["a", "b", "c"]):
+        ix = IndexSet(labels)
+        for maxdeg in (1, 2, 2):
+            K = diag_cocubical(ix, rng, maxdeg=maxdeg)
+            L = diag_cocubical(ix, rng, maxdeg=maxdeg)
+            ck, cl = CechComplex(K), CechComplex(L)
+            ckl = CechComplex(tensor_cocubical(K, L))
+            assert tau(ck, cl, ckl).f == entrywise_tau(ck, cl, ckl)
+
+
+def entrywise_assoc(a, b, c):
+    """The reference for `tensor_assoc`: each basis vector e_i (x) e_j
+    (x) e_k of (A (x) B) (x) C sent to its index in A (x) (B (x) C)."""
+    ab, bc = tensor(a, b), tensor(b, c)
+    comps = {}
+    for n in tensor(ab, c).degrees():
+        m = Matrix.zero(tensor(a, bc).dim(n), tensor(ab, c).dim(n))
+        toff = tensor_offsets(a, bc, n)
+        for (pq, r), so in tensor_offsets(ab, c, n).items():
+            for (p, q), abo in tensor_offsets(a, b, pq).items():
+                to = toff[(p, q + r)]
+                bco = tensor_offsets(b, c, q + r)[(q, r)]
+                db, dc = b.dim(q), c.dim(r)
+                for i in range(a.dim(p)):
+                    for j in range(db):
+                        for k in range(dc):
+                            m[to + i * bc.dim(q + r) + bco + j * dc + k,
+                              so + (abo + i * db + j) * dc + k] = 1
+        comps[n] = m
+    return comps
+
+
+def test_tensor_assoc_matches_entrywise_reference():
+    rng = random.Random(59)
+    for _ in range(20):
+        a, b, c = (
+            Complex({p: rng.randint(0, 3)
+                     for p in range(rng.randint(-1, 1), rng.randint(1, 3))},
+                    {}) for _ in range(3))
+        assert tensor_assoc(a, b, c).f == entrywise_assoc(a, b, c)
 
 
 def test_tau_associativity():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import json
 from fractions import Fraction as Q
@@ -271,6 +272,32 @@ def test_kunneth_of_valid_is_valid():
     d = fixture_product_with_p1(fixture_projective_space(1))
     rep = validate(d)
     assert all_checks_pass(rep), [r for r in rep if not r["ok"]]
+
+
+# sha256 of `dumps` of Künneth products, recorded from the entry-by-entry
+# construction that the block construction replaced.
+PRODUCT_DUMPS = {
+    ("cycle", 1): "991c82b6c2ad37c7ab70a9c5e588ce66"
+                  "e6d8642b7b12754c2c531400c51f9ad1",
+    ("cycle", 2): "6473396e5a50de4a4271c61d7bc1b95c"
+                  "5244de5d660dea0bfde1b277dfb09ada",
+    ("cycle", 3): "3e059dd8313be7dbf1a7dc38fd5d59c4"
+                  "f98b34fd7fae8854ad57f0d6c266f635",
+    ("projective", 1): "ca7af256f3e955d5fa232a784eca4dce"
+                       "d5523c17f0217ae7eda802605d601131",
+}
+
+
+@pytest.mark.parametrize("base, products", sorted(PRODUCT_DUMPS))
+def test_product_with_p1_dumps_are_pinned(base, products):
+    """cycle(3) times P^1 one to three times, and P^1 x P^1."""
+    d = fixture_cycle_of_p1(3) if base == "cycle" \
+        else fixture_projective_space(1)
+    for _ in range(products):
+        d = fixture_product_with_p1(d)
+    text = dumps(d)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PRODUCT_DUMPS[(base, products)]
 
 
 # Single-entry mutations of fixture JSON and every failure `validate`
