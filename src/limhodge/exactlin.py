@@ -5,8 +5,12 @@ A matrix keeps each row as a dict of its nonzero entries, and so does
 the one elimination engine, `Echelon`, an incremental reduced row
 basis. So a product, a sum, a stack or a reduction step costs in the
 entries it touches, not in the width. `quotient` reads its projection
-off one such reduction and forms no inverse. All arithmetic uses
-fractions.Fraction; no floating point anywhere.
+off one such reduction of the subspace's basis, with no inverse and no
+completion of the basis. All arithmetic is exact, with no floating
+point anywhere.
+Inside an `Echelon`, rows are integer-first: an integral entry is an
+int, any other a fractions.Fraction, as nearly every pivot is 1 or -1.
+Every entry and pivot value it hands out is a Fraction.
 """
 
 from fractions import Fraction
@@ -34,8 +38,14 @@ def rat_to_str(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+# The strings of 1 and -1, the most common entries of input tables
+# after "0", and the constants they parse to.
+_UNITS = {"1": ONE, "-1": -ONE}
+
+
 def rat_from_str(s):
-    return Fraction(s)
+    """The rational of a string such as "-3/4"; s is a str."""
+    return _UNITS.get(s) or Fraction(s)
 
 
 def _sparse(v):
@@ -257,9 +267,11 @@ class Matrix:
             return cls(0, cols)
         _require(all(len(row) == len(data[0]) for row in data),
                  "Matrix.from_json: ragged rows")
-        # Most entries are "0", as rat_to_str writes 0: skip its parse.
+        # Most entries are "0", as rat_to_str writes 0, and most others
+        # 1 or -1: skip their parse.
         return cls.from_sparse(len(data[0]), [
-            {j: q for j, x in enumerate(row) if x != "0" and (q := Q(x))}
+            {j: q for j, x in enumerate(row)
+             if x != "0" and (q := _UNITS.get(x) or Q(x))}
             for row in data])
 
 
@@ -303,6 +315,11 @@ def vstack(blocks):
                                      for row in b.nz])
 
 
+def _int_first(x):
+    """x, an int or a Fraction, as an int if it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Echelon:
     """The one elimination engine: a growing basis of a row space in
     Q^width, kept reduced. Each row is 0 before its pivot, 1 at it and
@@ -313,7 +330,9 @@ class Echelon:
     in until `reduced` sorts them, to a dict of the row's nonzero
     entries right of the pivot (the 1 at the pivot is implied).
     `Echelon(width, rows)` starts from sparse rows, such as a matrix's
-    `nz`."""
+    `nz`. Entries are integer-first: `residual` turns integral ones
+    into ints, and with a pivot of 1 or -1 a reduction step stays in
+    int arithmetic. What the engine hands out is a Fraction."""
 
     __slots__ = ("width", "rows")
 
@@ -328,7 +347,7 @@ class Echelon:
         dict of its nonzero entries: none at a pivot, and none at all
         exactly when w lies in the span. The rows are reduced, so w[p]
         is the factor of the row of every pivot p."""
-        w = dict(w)
+        w = {j: _int_first(x) for j, x in w.items()}
         rows = self.rows
         for p in [p for p in w if p in rows]:
             _axpy(w, -w.pop(p), rows[p])
@@ -336,34 +355,39 @@ class Echelon:
 
     def add(self, v):
         """Add the dense vector v to the span. Returns the first nonzero
-        entry of its residual (the new pivot value before scaling), or 0
-        if v is already in the span."""
+        entry of its residual (the new pivot value before scaling) as a
+        Fraction, or 0 if v is already in the span."""
         _require(len(v) == self.width, "Echelon: a row of length %d in Q^%d",
                  len(v), self.width)
         return self.insert(self.residual(_sparse(v)))
 
     def insert(self, w):
         """Add a residual, as `residual` returns it, which the engine
-        then owns; returns its pivot value before scaling, or 0."""
+        then owns; returns its pivot value before scaling as a Fraction,
+        or 0."""
         if not w:
             return ZERO
         p = min(w)
         f = w.pop(p)
-        if f != 1:
-            w = {j: x / f for j, x in w.items()}
+        if f == -1:
+            w = {j: -x for j, x in w.items()}
+        elif f != 1:
+            f = Q(f)
+            w = {j: _int_first(x / f) for j, x in w.items()}
         for row in self.rows.values():
             g = row.pop(p, None)
             if g is not None:
                 _axpy(row, -g, w)
         self.rows[p] = w
-        return f
+        return Q(f)
 
     def reduced(self):
         """Sort the rows by pivot and return them as a Matrix: the RREF
         basis of the span."""
         self.rows = dict(sorted(self.rows.items()))
         return Matrix.from_sparse(self.width, [
-            {p: ONE, **row} for p, row in self.rows.items()])
+            {p: ONE, **{j: Q(x) for j, x in row.items()}}
+            for p, row in self.rows.items()])
 
 
 def rref(m):
@@ -514,41 +538,41 @@ def quotient(sub, by):
     ambient×dim with projection∘section = identity.
 
     The by-basis b is completed by the rows c of sub's basis, then by
-    the unit vectors d, that extend the span. The projection, the
-    c-block of [b c d]⁻¹, sends b and d to 0 and c_i to e_i. So each
-    basis vector enters one Echelon followed by its image in q more
-    columns, and the rows reduce to (1 | projectionᵀ).
+    the unit vectors d: each e_k, k ascending, that extends the span.
+    The projection, the c-block of [b c d]⁻¹, sends b and d to 0 and
+    c_i to e_i. A unit vector e_k is taken exactly when k is the last
+    nonzero position of no vector of sub, so d needs no reduction: b
+    and c enter one Echelon with their columns reversed, which makes
+    its pivots those last positions, and c_i is tagged with e_i in q
+    more columns. Reduced, the row of pivot k is e_k plus a combination
+    of d, so its tag is column k of the projection; every other column
+    is that of a vector of d, and 0.
     """
     by._require_same_ambient(sub)
     if not sub.contains(by):
         raise ValueError("not a subspace")
     n = sub.ambient_dim
     q = sub.dim - by.dim
-    ech = Echelon(n + q)
+    last = n - 1
 
-    def extends(v, image=None):
-        """Add (v | e_image) if v is not in the span of the rows so far;
-        no pivot lies past column n, so the first n columns decide."""
-        w = ech.residual(v if image is None else {**v, n + image: ONE})
-        if min(w, default=n) >= n:
-            return False
-        ech.insert(w)
-        return True
+    def flip(row):
+        return {last - j: x for j, x in row.items()}
 
-    for row in by.basis.nz:
-        extends(row)
-    # Rows of sub after the q-th c do not extend the span; their image
-    # is 0.
+    ech = Echelon(n + q, [flip(row) for row in by.basis.nz])
     c_rows = []
     for row in sub.basis.nz:
-        if extends(row, len(c_rows) if len(c_rows) < q else None):
+        if len(c_rows) == q:
+            break
+        w = ech.residual({**flip(row), n + len(c_rows): ONE})
+        # no pivot lies past column n, so the first n columns decide
+        if min(w) < n:
+            ech.insert(w)
             c_rows.append(row)
-    for e in range(n):
-        extends({e: ONE})
     proj = [{} for _ in range(q)]
     for p, row in ech.rows.items():
         for j, x in row.items():
-            proj[j - n][p] = x
+            if j >= n:
+                proj[j - n][last - p] = Q(x)
     proj = Matrix.from_sparse(n, proj)
     section = Matrix.from_sparse(n, c_rows).transpose()
     _require(proj * section == Matrix.identity(q),

@@ -134,6 +134,7 @@ class E1Page:
             self._lookup[cell] = (table, off)
         self._d1 = {}
         self._cx = {}
+        self._restrict = {}
 
     def summands(self, m, q):
         return self.cells.get((m, q), [])
@@ -154,6 +155,16 @@ class E1Page:
         return True
 
     # differentials and operators
+
+    def restrict(self, sigma, tau, deg):
+        """datum.restrict_mat(sigma, tau, deg), composed once per page.
+        The matrix is shared between calls: only read it, as
+        Matrix.add_block does."""
+        key = (sigma, tau, deg)
+        mat = self._restrict.get(key)
+        if mat is None:
+            mat = self._restrict[key] = self.datum.restrict_mat(*key)
+        return mat
 
     def d1(self, m, q):
         if (m, q) not in self._d1:
@@ -225,7 +236,7 @@ class PageA(E1Page):
             tgt = self.find(m - 1, q + 1, (tau, s.r + 1))
             if tgt is None:
                 continue
-            mat = dat.restrict_mat(s.sigma, tau, s.c)
+            mat = self.restrict(s.sigma, tau, s.c)
             out.add_block(tgt.offset, s.offset, mat,
                           -wedge_insert_sign(ix, nu, s.sigma))
 
@@ -306,7 +317,7 @@ class PageK(E1Page):
                                 (s.cech, s.r - 1, s.sigma | {nu}))
                 if tgt is None:
                     continue
-                mat = dat.restrict_mat(tau, tau | {nu}, s.c)
+                mat = self.restrict(tau, tau | {nu}, s.c)
                 out.add_block(tgt.offset, s.offset, mat,
                               ksign * wedge_insert_sign(ix, nu, s.sigma))
         # Cech coface
@@ -316,7 +327,7 @@ class PageK(E1Page):
             tgt = self.find(m - 1, q + 1, (s.cech | {nu}, s.r, s.sigma))
             if tgt is None:
                 continue
-            mat = dat.restrict_mat(tau, tau | {nu}, s.c)
+            mat = self.restrict(tau, tau | {nu}, s.c)
             out.add_block(tgt.offset, s.offset, mat,
                           wedge_insert_sign(ix, nu, s.cech))
 

@@ -712,6 +712,12 @@ def _split(key, sep):
     return parts
 
 
+def _repeated(items):
+    """The first item of the list items that an earlier one equals, or
+    None."""
+    return next((x for i, x in enumerate(items) if x in items[:i]), None)
+
+
 def _vector(value):
     return [rat_from_str(_typed(str, x)) for x in _typed(list, value)]
 
@@ -755,16 +761,32 @@ def loads(text):
         raise StrataError("components: expected a list of names")
     if not labels:
         raise StrataError("components: empty")
-    dup = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
+    dup = _repeated(labels)
     if dup is not None:
         raise StrataError("components: duplicate label %r" % dup)
     rings = {}
     traces = {}
     ample = {}
     nerve = []
+    # The first key of each stratum, restriction and Gysin map: a key
+    # in another label order names the same one.
+    first = {}
+
+    def once(path, key, what, name):
+        if name in first:
+            raise StrataError("%s: names the same %s as %s"
+                              % (path, what, first[name]))
+        first[name] = key
+
+    def members(key):
+        parts = key.split(",")
+        dup = _repeated(parts)
+        if dup is not None:
+            raise ValueError("label %r repeated" % dup)
+        return frozenset(parts)
 
     def stratum(key):
-        s = frozenset(key.split(","))
+        s = members(key)
         if s not in rings:
             raise ValueError("unknown stratum %r" % key)
         return s
@@ -775,7 +797,8 @@ def loads(text):
         for p in key.split(","):
             if p not in labels:
                 raise StrataError("%s: unknown label %r" % (path, p))
-        s = frozenset(key.split(","))
+        s = _parsed(path, members, key)
+        once(path, key, "stratum", s)
         nerve.append(s)
         for field in ("dims", "products", "trace", "ample"):
             if field not in _parsed(path, _typed, dict, entry):
@@ -799,6 +822,7 @@ def loads(text):
         path = "restrictions/" + key
         a, b = _parsed(path, _split, key, "|")
         s, t = _parsed(path, stratum, a), _parsed(path, stratum, b)
+        once(path, key, "restriction", (s, t))
         restrictions[(s, t)] = _maps(path, mats, rings[s], rings[t], 0)
     gysin = {}
     for key, mats in _parsed("gysin", _typed, dict,
@@ -806,7 +830,9 @@ def loads(text):
         path = "gysin/" + key
         a, nu = _parsed(path, _split, key, "|")
         s = _parsed(path, stratum, a)
-        t = _parsed(path, stratum, a + "," + nu)
+        # a label nu in s is reported by StrataDatum._structural_check
+        t = s if nu in s else _parsed(path, stratum, a + "," + nu)
+        once(path, key, "Gysin map", (s, nu))
         gysin[(s, nu)] = _maps(path, mats, rings[t], rings[s], 2)
     return StrataDatum(
         n=n, labels=labels, nerve=nerve, rings=rings,

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import os
 import shlex
@@ -130,6 +131,42 @@ def test_dump_includes_matrices(tmp_path):
     code, result = run(_args("mhs", path, "--dump"))
     assert code == 0
     assert "pairing" in result and "N" in result
+
+
+# sha256 of the JSON reports of `e1 --page both --dump`, `mhs --dump`
+# and `compare`, whose numbers rest on the E2 cells of both pages.
+PINNED_REPORTS = {
+    ("cycle3xp1", "e1"):
+        "8ad8efaf71526e4a96a955f6e7b8a9f8ef26b90f630dcb6858ed6e554947ceba",
+    ("cycle3xp1", "mhs"):
+        "e6fc1d2ab9c164170f2740958deca490304b659e5c91c1fce7ffd1bd1f88bb72",
+    ("cycle3xp1", "compare"):
+        "1d301a79d9377e4c882aac6cf1dd8dfb0ae8a09662d003cd4cc62e05ddbb060f",
+    ("cycle4", "e1"):
+        "eb2a6a505d71a8942327714ba91183e53a8d99a45d98796f1124779527804320",
+    ("cycle4", "mhs"):
+        "569dfdfb37bcca857245bb6fd2e6bc08cac4bd20c84267c2058fbd58bf595126",
+    ("cycle4", "compare"):
+        "5d4690e0d3b753760ae95c605b2baaad092f18bd0a3a3d33586fc66901a897d7",
+}
+PINNED_ARGS = {"e1": ["e1", "--page", "both", "--dump"],
+               "mhs": ["mhs", "--dump"], "compare": ["compare"]}
+
+
+@pytest.mark.parametrize("name, command", sorted(PINNED_REPORTS))
+def test_page_reports_are_pinned(tmp_path, monkeypatch, name, command):
+    """cycle(3) x P^1 and cycle(4): the reports name their input as
+    given, so it is given relative to the current directory."""
+    datum = strata.fixture_cycle_of_p1(int(name[5]))
+    if name.endswith("xp1"):
+        datum = strata.fixture_product_with_p1(datum)
+    monkeypatch.chdir(tmp_path)
+    strata.save(datum, name + ".json")
+    code, result = run(_args(*PINNED_ARGS[command], name + ".json"))
+    assert code == 0
+    text = report_render(result, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PINNED_REPORTS[(name, command)]
 
 
 def _run_python(flags, args, tmp_path):
@@ -273,6 +310,13 @@ def _rename_gysin(data):
     data["gysin"]["C0C1"] = data["gysin"].pop("C0|C1")
 
 
+def _alias(section, key, same_as):
+    """Add `key` to a section as a copy of the entry of `same_as`."""
+    def mutate(data):
+        data[section][key] = data[section][same_as]
+    return mutate
+
+
 def _no_components(data):
     data.clear()
     data.update(n=1, components=[], strata={})
@@ -314,6 +358,15 @@ def _no_components(data):
      "gysin/C0|C1/+0: expected an integer key, got '+0'"),
     (_set(["strata", "C0", "products", "02,0"], [["1"]]),
      "strata/C0/products/02,0: expected an integer key, got '02'"),
+    (_alias("strata", "C1,C0", "C0,C1"),
+     "strata/C1,C0: names the same stratum as C0,C1"),
+    (_alias("strata", "C0,C0", "C0"), "strata/C0,C0: label 'C0' repeated"),
+    (_alias("restrictions", "C0|C1,C0", "C0|C0,C1"),
+     "restrictions/C0|C1,C0: names the same restriction as C0|C0,C1"),
+    (_alias("restrictions", "C0|C0,C1,C1", "C0|C0,C1"),
+     "restrictions/C0|C0,C1,C1: label 'C1' repeated"),
+    (_alias("gysin", "C0,C0|C1", "C0|C1"),
+     "gysin/C0,C0|C1: label 'C0' repeated"),
 ], ids=["bad-rational", "zero-denominator", "dims-not-a-list",
         "odd-degree-dims", "unknown-stratum", "gysin-key-without-bar",
         "duplicate-component", "no-components", "hodge-tate-string",
@@ -321,7 +374,9 @@ def _no_components(data):
         "int-product-entry", "int-restriction-entry",
         "restriction-not-a-cover", "gysin-label-in-stratum",
         "degree-key-with-space", "degree-key-with-plus",
-        "product-key-with-zero"])
+        "product-key-with-zero", "stratum-key-reordered",
+        "stratum-key-repeated-label", "restriction-key-reordered",
+        "restriction-key-repeated-label", "gysin-key-repeated-label"])
 def test_malformed_value_exits_1_with_its_path(tmp_path, mutate, where):
     data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(3)))
     mutate(data)

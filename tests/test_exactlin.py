@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limhodge.exactlin import (
-    ConsistencyError, Matrix, Subspace, rref, rank, kernel, image, solve,
-    quotient, inverse, is_positive_definite, determinant, rat_to_str,
+    ConsistencyError, Echelon, Matrix, Subspace, rref, rank, kernel, image,
+    solve, quotient, inverse, is_positive_definite, determinant, rat_to_str,
     rat_from_str, hstack, vstack, block_diag, kron,
 )
 
@@ -426,7 +426,76 @@ def test_quotient_matches_reference(n, data):
         d, proj, section = quotient(sub, by)
         ref_d, ref_proj, ref_section = ref_quotient(sub, by)
         assert (d, proj, section) == (ref_d, ref_proj, ref_section)
+        assert (proj * by.basis.transpose()).is_zero()
         assert is_fraction_matrix(proj) and is_fraction_matrix(section)
+
+
+def ref_solve(m, b):
+    """The solution with free variables 0, read off the dense RREF of
+    [m | b]; None if a pivot lies in b."""
+    a, pivots = ref_rref(hstack([m, b]))
+    if pivots and pivots[-1] >= m.cols:
+        return None
+    x = [[Q(0)] * b.cols for _ in range(m.cols)]
+    for i, pc in enumerate(pivots):
+        x[pc] = a[i][m.cols:]
+    return x
+
+
+# Entries that make the pivots 1, -1, 2 and 1/3 occur: an Echelon keeps
+# integral entries as int inside and must still hand out Fractions.
+pivot_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Q(1, 3)])
+
+
+def pivot_rows(rows, cols):
+    return st.lists(st.lists(pivot_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def test_echelon_pivots_are_fractions():
+    rows = [[Q(1, 3), 1, 0, 2], [0, -1, 1, 0], [0, 0, 2, 1], [1, 1, 1, 1]]
+    ech = Echelon(4)
+    pivots = [ech.add(row) for row in rows]
+    assert pivots == [Q(1, 3), -1, 2, Q(-9, 2)]
+    assert all(type(f) is Q for f in pivots)
+    assert is_fraction_matrix(ech.reduced())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.data())
+def test_integer_first_elimination_matches_reference(r, c, k, data):
+    m = Matrix(r, c, data.draw(pivot_rows(r, c)))
+    b = Matrix(r, k, data.draw(pivot_rows(r, k)))
+    r_m, piv = rref(m)
+    assert (r_m.to_lists(), piv) == ref_rref(m)
+    assert kernel(m).basis.to_lists() == ref_kernel(m)
+    assert image(m).basis.to_lists() == ref_basis(m.transpose().to_lists(),
+                                                  r)
+    x = solve(m, b)
+    assert (None if x is None else x.to_lists()) == ref_solve(m, b)
+    sub = Subspace(c, m.to_lists() + data.draw(pivot_rows(2, c)))
+    by = Subspace(c, m.to_lists())
+    d, proj, section = quotient(sub, by)
+    assert (d, proj, section) == ref_quotient(sub, by)
+    values = [r_m, kernel(m).basis, image(m).basis, proj, section]
+    if x is not None:
+        values.append(x)
+    if r == c:
+        det = determinant(m)
+        assert det == ref_determinant(m) and type(det) is Q
+        sym = m + m.transpose()
+        assert is_positive_definite(sym) == ref_positive_definite(sym)
+        gram = m.transpose() * m + Matrix.identity(c)
+        assert is_positive_definite(gram) == ref_positive_definite(gram)
+    assert all(is_fraction_matrix(v) for v in values)
+    # the pivot values, whether a row is added or inserted as a residual
+    added, inserted = Echelon(c), Echelon(c)
+    for row, sparse in zip(m.to_lists(), m.nz):
+        f = added.add(row)
+        g = inserted.insert(inserted.residual(sparse))
+        assert f == g and type(f) is Q and type(g) is Q
+    assert added.reduced() == inserted.reduced() == Matrix.from_sparse(
+        c, r_m.nz[:len(piv)])
 
 
 @settings(max_examples=300, deadline=None)

@@ -94,6 +94,21 @@ def test_operators_commute_with_d1():
                 assert lhs == rhs, ("N l", page.variant, m, q)
 
 
+def test_cached_restrictions_stay_unchanged():
+    """Each page composes a restriction once and shares the matrix
+    between the d1 blocks it builds; building every d1, N and l of
+    both pages must leave each cached matrix equal to a fresh one."""
+    datum = fixture_product_with_p1(cycle3())
+    for page in (build_e1_A(datum), build_e1_K(datum)):
+        for (m, q) in page.cell_keys():
+            page.d1(m, q)
+            page.n_mat(m, q)
+            page.l_mat(m, q)
+        assert page._restrict
+        for (sigma, tau, deg), mat in page._restrict.items():
+            assert mat == datum.restrict_mat(sigma, tau, deg)
+
+
 # comparison map
 
 def test_compare_pages_all_fixtures():
