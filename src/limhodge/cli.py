@@ -11,6 +11,7 @@ theorem-check failure, 3 I/O error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -266,7 +267,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command line, built on first use and then
+    shared: parsing does not change it."""
     parser = _Parser(
         prog="limhodge",
         description="limit mixed Hodge structures of normal crossing "

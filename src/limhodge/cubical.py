@@ -178,7 +178,7 @@ class CoCubicalComplex:
                 for p in self.complexes[step2[1]].degrees()}
 
 
-def tensor_cocubical(k, l, check=False):
+def tensor_cocubical(k, l):
     """The co-cubical complex sigma -> K(sigma) (x) L(sigma)."""
     _require(k.ix is l.ix or k.ix.labels == l.ix.labels,
              "tensor_cocubical: different index sets")
@@ -190,7 +190,7 @@ def tensor_cocubical(k, l, check=False):
         # rebuild on the shared complex objects
         cover[key] = ChainMap(complexes[key[0]], complexes[key[1]],
                               fm.f, check=False)
-    return CoCubicalComplex(k.ix, complexes, cover, check=check)
+    return CoCubicalComplex(k.ix, complexes, cover, check=False)
 
 
 class CechComplex:
@@ -345,7 +345,7 @@ def tau(cech_k, cech_l, cech_kl):
     return ChainMap(src, tgt, comps)
 
 
-def constant_cocubical(ix, check=True):
+def constant_cocubical(ix):
     """K(sigma) = Q in degree 0 with identity maps."""
     complexes = {}
     for size in range(1, len(ix.labels) + 1):
@@ -359,4 +359,4 @@ def constant_cocubical(ix, check=True):
             t = s | {x}
             cover[(s, t)] = ChainMap(complexes[s], complexes[t],
                                      {0: Matrix.identity(1)})
-    return CoCubicalComplex(ix, complexes, cover, check=check)
+    return CoCubicalComplex(ix, complexes, cover)

@@ -498,15 +498,20 @@ class Subspace:
 
 
 def kernel(m):
-    """Subspace {x : m·x = 0} of Q^cols: per free column c, the vector
-    with 1 at c and minus column c of the RREF at the pivots."""
-    r, pivots = rref(m)
+    """Subspace {x : m·x = 0} of Q^cols: per free column c of the RREF
+    of m with its columns reversed, the vector with 1 at c and minus
+    column c at the pivots. Read back in column order, each is 0 before
+    c and at every other free column, so they are already an RREF."""
+    last = m.cols - 1
+    r, pivots = rref(Matrix.from_sparse(m.cols, [
+        {last - c: x for c, x in row.items()} for row in m.nz]))
     pivot_set = set(pivots)
-    free = {c: {c: ONE} for c in range(m.cols) if c not in pivot_set}
+    free = {last - c: {last - c: ONE} for c in range(m.cols)
+            if c not in pivot_set}
     for pc, row in zip(pivots, r.nz):
         for c, x in row.items():
             if c != pc:
-                free[c][pc] = -x
+                free[last - c][last - pc] = -x
     return Subspace.span(m.cols, list(free.values()))
 
 

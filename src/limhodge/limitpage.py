@@ -38,7 +38,7 @@ from .exactlin import (
 )
 from .homalg import Complex
 from .cubical import chi, wedge_insert_sign, contract_sign
-from .strata import Report, all_checks_pass, first_entry
+from .strata import Report, StrataError, all_checks_pass, first_entry
 
 
 def eps(a):
@@ -488,7 +488,9 @@ class LimitMHS:
             self.hodge.setdefault(q, {})
             p = Q(w, 2)
             self.hodge[q][p] = self.hodge[q].get(p, 0) + dim
-        # descend N and l to E2
+        # descend N and l to E2. N commutes with d1 on every datum: it
+        # is the identity (sigma, r) -> (sigma, r+1), and d1 out of
+        # (sigma, r) does not depend on r. l does only on valid data.
         self.N = {}
         self.l = {}
         for (m, q), (dim, _, sec) in self.e2.items():
@@ -496,8 +498,15 @@ class LimitMHS:
             self.N[(m, q)] = (tn[1] * self.page.n_mat(m, q) * sec) \
                 if tn else Matrix.zero(0, dim)
             tl = self.e2.get((m, q + 2))
-            self.l[(m, q)] = (tl[1] * self.page.l_mat(m, q) * sec) \
-                if tl else Matrix.zero(0, dim)
+            if tl:
+                image = self.page.l_mat(m, q) * sec
+                wit = first_entry(self.page.d1(m, q + 2) * image)
+                if wit:
+                    raise StrataError(
+                        "l does not descend to E2 from m=%d,q=%d: d1 of its "
+                        "image has %s; run validate on the input"
+                        % (m, q, wit))
+                self.l[(m, q)] = tl[1] * image
         # descend the pairing
         self.Q = {}
         for (m, q), (dim, _, sec) in self.e2.items():
@@ -520,17 +529,31 @@ class LimitMHS:
         return sum(d for (m, qq), (d, _, _) in self.e2.items()
                    if qq == q)
 
-    def n_block(self, m, q):
-        blk = self.N.get((m, q))
+    def _block(self, op, m, q, dm, dq):
+        """op's block from E2 (m, q) to (m + dm, q + dq), or zero."""
+        blk = op.get((m, q))
         if blk is None:
-            blk = Matrix.zero(self.dim(m - 2, q), self.dim(m, q))
+            blk = Matrix.zero(self.dim(m + dm, q + dq), self.dim(m, q))
         return blk
 
+    def _power(self, op, m, q, dm, dq, i):
+        """op^i from E2 (m, q), each step going by (dm, dq)."""
+        mat = Matrix.identity(self.dim(m, q))
+        for k in range(i):
+            mat = self._block(op, m + k * dm, q + k * dq, dm, dq) * mat
+        return mat
+
+    def n_block(self, m, q):
+        return self._block(self.N, m, q, -2, 0)
+
     def l_block(self, m, q):
-        blk = self.l.get((m, q))
-        if blk is None:
-            blk = Matrix.zero(self.dim(m, q + 2), self.dim(m, q))
-        return blk
+        return self._block(self.l, m, q, 0, 2)
+
+    def n_power(self, m, q, i):
+        return self._power(self.N, m, q, -2, 0, i)
+
+    def l_power(self, m, q, j):
+        return self._power(self.l, m, q, 0, 2, j)
 
     def q_block(self, m, q):
         blk = self.Q.get((m, q))
@@ -538,22 +561,6 @@ class LimitMHS:
             blk = Matrix.zero(self.dim(m, q),
                               self.dim(-m, 2 * self.n - q))
         return blk
-
-    def n_power(self, m, q, i):
-        mat = Matrix.identity(self.dim(m, q))
-        cur = m
-        for _ in range(i):
-            mat = self.n_block(cur, q) * mat
-            cur -= 2
-        return mat
-
-    def l_power(self, m, q, j):
-        mat = Matrix.identity(self.dim(m, q))
-        cur = q
-        for _ in range(j):
-            mat = self.l_block(m, cur) * mat
-            cur += 2
-        return mat
 
     # the Lefschetz module: primitive pieces and their forms
 

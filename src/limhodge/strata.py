@@ -364,8 +364,7 @@ def validate(datum):
         # (f) hard Lefschetz, with lop[b] = l on H^b and lef[b] = l^{d-b}
         # on H^b, b <= d
         wit = ""
-        ell = datum.ample[sigma]
-        lop = [ring.mult_operator(ell, 2, b) for b in range(2 * d + 1)]
+        lop = [datum.ample_op(sigma, b) for b in range(2 * d + 1)]
         lef = []
         for b in range(d + 1):
             lef.append(one(dim(b)))
@@ -480,17 +479,13 @@ def validate(datum):
 # fixtures
 
 def fixture_projective_space(n):
-    """Single smooth component P^n."""
+    """Single smooth component P^n, where h^i . h^j = h^{i+j}."""
     if n < 1:
         raise ValueError("need dimension at least 1")
     label = "X"
     dims = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
-    mult = {}
-    for i in range(0, 2 * n + 1, 2):
-        for j in range(0, 2 * n + 1 - i, 2):
-            val = Q(1) if i + j <= 2 * n else Q(0)
-            mult[(i, j)] = Matrix(dims[i + j], 1, [[val]]) \
-                if dims[i + j] else Matrix.zero(0, 1)
+    mult = {(i, j): Matrix(1, 1, [[1]]) for i in range(0, 2 * n + 1, 2)
+            for j in range(0, 2 * n + 1 - i, 2)}
     ring = Ring(dims, mult)
     return StrataDatum(
         n=n, labels=[label], nerve=[{label}],
@@ -541,20 +536,14 @@ def fixture_cycle_of_p1(n_components):
         rings[p] = point_ring()
         traces[p] = [Q(1)]
         ample[p] = []
-    restrictions = {}
-    gysin = {}
-    for p in pairs:
-        for lab in p:
-            s = frozenset({lab})
-            restrictions[(s, p)] = {0: Matrix(1, 1, [[1]]),
-                                    2: Matrix.zero(0, 1)}
-            other = next(x for x in p if x != lab)
-            # adjunction t_s(g(a).b) = -t_p(a.restrict(b)) forces
-            # g(1) = -(point class)
-            gysin[(s, other)] = {0: Matrix(1, 1, [[-1]])}
+    restrictions = {(frozenset({lab}), p): {0: Matrix(1, 1, [[1]]),
+                                            2: Matrix.zero(0, 1)}
+                    for p in pairs for lab in p}
+    # The datum derives the Gysin maps: the adjunction
+    # t_s(g(a).b) = -t_p(a.restrict(b)) forces g(1) = -(point class).
     return StrataDatum(
         n=1, labels=labels, nerve=nerve, rings=rings,
-        restrictions=restrictions, gysin=gysin, traces=traces,
+        restrictions=restrictions, gysin={}, traces=traces,
         ample=ample)
 
 

@@ -462,6 +462,41 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert (code, err) == (0, "") and out.startswith("usage: ")
 
 
+def test_parser_is_built_once(tmp_path, capsys):
+    """One parser serves every command line of a process, and a usage
+    error leaves it fit for the next call."""
+    assert build_parser() is build_parser()
+    path = write_cycle3(tmp_path)
+    for _ in range(2):
+        code, out, err = _usage_error(["validate", path, "--bogus"], capsys)
+        assert (code, out) == (1, "") and err.startswith("usage: limhodge ")
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.endswith(" failed\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_lefschetz_that_does_not_descend_exits_1(tmp_path, flags):
+    """An ample class that does not restrict makes l no chain map on
+    E1, and l on E2 would depend on how a basis is completed: `mhs` and
+    `polarize` exit 1 and name the cell. `validate` names the faulty
+    restriction."""
+    data = json.loads(strata.dumps(strata.fixture_product_with_p1(
+        strata.fixture_cycle_of_p1(3))))
+    data["strata"]["C1,C2"]["ample"][0] = "0"
+    (tmp_path / "ample.json").write_text(json.dumps(data))
+    for command in ("mhs", "polarize"):
+        proc = _run_python(flags, ["-m", "limhodge.cli", command,
+                                   "ample.json"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "error: l does not descend to E2 from m=1,q=1: d1 of its "
+            "image has entry (1,0) = 1; run validate on the input\n", "")
+    proc = _run_python(flags, ["-m", "limhodge.cli", "validate",
+                               "ample.json"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "FAIL ample-restriction C1->C1,C2: restricted ample class " \
+        "differs" in proc.stdout.splitlines()
+
+
 # The flags each command reads besides its positionals, --format and -o.
 ACCEPTED = {
     "validate": [],
@@ -568,6 +603,62 @@ def test_no_unused_import_in_source():
         found += ["%s:%d %s" % (name, line, bound)
                   for bound, line in sorted(imported.items())
                   if bound not in used]
+    assert found == []
+
+
+def _defaulted_parameters():
+    """(function name, parameter, position) of every parameter with a
+    default of a function in the package, the position None for a
+    keyword-only one. A method's position does not count its self or
+    cls, and the name of an __init__ is its class's, which is what a
+    call names."""
+    for _, tree in _source_trees():
+        methods = {id(f): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for f in cls.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            owner = methods.get(id(f))
+            fname = owner if f.name == "__init__" else f.name
+            args = f.args.args
+            for i in range(len(args) - len(f.args.defaults), len(args)):
+                yield fname, args[i].arg, i - (owner is not None)
+            for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    yield fname, arg.arg, None
+
+
+def _passed_parameters():
+    """(called name, keyword or position) of every argument of every
+    call in the package and its tests; "*" for an unpacked one."""
+    here = os.path.dirname(__file__)
+    trees = [tree for _, tree in _source_trees()]
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name)) as fh:
+                trees.append(ast.parse(fh.read(), name))
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            called = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            for i, arg in enumerate(call.args):
+                yield called, "*" if isinstance(arg, ast.Starred) else i
+            for kw in call.keywords:
+                yield called, kw.arg or "*"
+
+
+def test_every_default_is_overridden_somewhere():
+    """A parameter with a default that no call sets is a knob nobody
+    turns: every defaulted parameter of a package function is passed,
+    by keyword or by position, by some call in the package or its
+    tests. Calls are matched by name."""
+    passed = set(_passed_parameters())
+    found = ["%s(%s)" % (fname, param)
+             for fname, param, pos in _defaulted_parameters()
+             if not {(fname, param), (fname, pos), (fname, "*")} & passed]
     assert found == []
 
 

@@ -274,9 +274,23 @@ def test_kunneth_of_valid_is_valid():
     assert all_checks_pass(rep), [r for r in rep if not r["ok"]]
 
 
-# sha256 of `dumps` of Künneth products, recorded from the entry-by-entry
-# construction that the block construction replaced.
+# sha256 of `dumps` of fixtures and of their Künneth products, recorded
+# from the entry-by-entry product construction that the block
+# construction replaced, and from cycle fixtures whose Gysin maps were
+# written out by hand before the datum derived them.
 PRODUCT_DUMPS = {
+    ("cycle", 0): "fb6fc3a841da98e79ccceb571305f52d"
+                  "07836e02bda4a6e147efcb81aef0df11",
+    ("cycle4", 0): "1d5816b609a156056da5befcdf6d09ce"
+                   "eb3405f045dcbfbaeac8474433c2fc6c",
+    ("cycle5", 0): "5d8e4db794e20fb2b0ce7b6bca16cebc"
+                   "c95e7cc0871d3c961f5fa1e9a673f392",
+    ("projective", 0): "e6f7fceadf577b0a5bd28a778d173472"
+                       "9f0104309fc679548f5fbf048f120cb2",
+    ("projective2", 0): "b8469c1e1f6480f08fa4947fc1a0cf15"
+                        "8a424a136f9930e6112ebf295f73b591",
+    ("projective3", 0): "905b17ae291c1cc98a1e907fa848dc61"
+                        "9429f00f47d000265598c4b6f78bdf4c",
     ("cycle", 1): "991c82b6c2ad37c7ab70a9c5e588ce66"
                   "e6d8642b7b12754c2c531400c51f9ad1",
     ("cycle", 2): "6473396e5a50de4a4271c61d7bc1b95c"
@@ -288,11 +302,21 @@ PRODUCT_DUMPS = {
 }
 
 
+DUMP_BASES = {
+    "cycle": lambda: fixture_cycle_of_p1(3),
+    "cycle4": lambda: fixture_cycle_of_p1(4),
+    "cycle5": lambda: fixture_cycle_of_p1(5),
+    "projective": lambda: fixture_projective_space(1),
+    "projective2": lambda: fixture_projective_space(2),
+    "projective3": lambda: fixture_projective_space(3),
+}
+
+
 @pytest.mark.parametrize("base, products", sorted(PRODUCT_DUMPS))
 def test_product_with_p1_dumps_are_pinned(base, products):
-    """cycle(3) times P^1 one to three times, and P^1 x P^1."""
-    d = fixture_cycle_of_p1(3) if base == "cycle" \
-        else fixture_projective_space(1)
+    """cycle(3) times P^1 zero to three times, P^1 and P^1 x P^1, and
+    the cycles of 4 and 5 lines, P^2 and P^3 themselves."""
+    d = DUMP_BASES[base]()
     for _ in range(products):
         d = fixture_product_with_p1(d)
     text = dumps(d)
