@@ -74,7 +74,7 @@ def _cmd_e2(datum, args, result):
         for (m, q) in page.cell_keys():
             if not page.trusted(m):
                 continue
-            dim, _, _ = page.cohomology(m, q)
+            dim = page.betti(m, q)
             if dim:
                 cells.append({"m": m, "q": q, "dim": dim})
         result["pages"][page.variant] = {"cells": cells}

@@ -94,18 +94,26 @@ def chi(ix, a, b):
     return orientation_sign(ix, lam)
 
 
+def _sign_before(ix, nu, a):
+    """(-1) to the number of labels of A before nu."""
+    p = ix.pos(nu)
+    return -1 if sum(ix.pos(x) < p for x in a) % 2 else 1
+
+
 def wedge_insert_sign(ix, nu, a):
-    """Sign s with e_nu wedge e_A = s * e_{A union {nu}}."""
-    return chi(ix, (nu,), a)
+    """Sign s with e_nu wedge e_A = s * e_{A union {nu}}: moving e_nu
+    to its place passes the labels of A before it."""
+    if nu in a:
+        raise ValueError("subsets not disjoint")
+    return _sign_before(ix, nu, a)
 
 
 def contract_sign(ix, nu, a):
     """Sign s with e_A = s * (e_nu wedge e_{A minus nu}); the inverse of
     e_nu wedge applied to e_A is s * e_{A minus nu}."""
-    a = frozenset(a)
     if nu not in a:
         raise ValueError("label not in subset")
-    return chi(ix, (nu,), a - {nu})
+    return _sign_before(ix, nu, a)
 
 
 class CoCubicalComplex:

@@ -42,6 +42,7 @@ class Complex:
                 if not (self.d[p + 1] * self.d[p]).is_zero():
                     raise ConsistencyError("d^2 != 0 at degree %d" % p)
         self._coh = {}
+        self._ranks = {}
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
@@ -78,8 +79,19 @@ class Complex:
             self._coh[p] = quotient(z, b)
         return self._coh[p]
 
+    def _rank_d(self, p):
+        """rank d^p, computed once per degree."""
+        if p not in self._ranks:
+            self._ranks[p] = rank(self.diff(p))
+        return self._ranks[p]
+
     def betti(self, p):
-        return self.cohomology(p)[0]
+        """dim H^p by rank-nullity: dim(p) - rank d^p - rank d^{p-1}.
+        This needs d^2 = 0, which the constructor checks unless
+        check=False."""
+        if not self.dim(p):
+            return 0
+        return self.dim(p) - self._rank_d(p) - self._rank_d(p - 1)
 
 
 def zero_complex():

@@ -133,23 +133,29 @@ def test_dump_includes_matrices(tmp_path):
     assert "pairing" in result and "N" in result
 
 
-# sha256 of the JSON reports of `e1 --page both --dump`, `mhs --dump`
-# and `compare`, whose numbers rest on the E2 cells of both pages.
+# sha256 of the JSON reports of `e1 --page both --dump`,
+# `e2 --page both`, `mhs --dump` and `compare`, whose numbers rest on
+# the E2 cells of both pages.
 PINNED_REPORTS = {
     ("cycle3xp1", "e1"):
         "8ad8efaf71526e4a96a955f6e7b8a9f8ef26b90f630dcb6858ed6e554947ceba",
+    ("cycle3xp1", "e2"):
+        "3266a12d70d4288603ac6be8930fa410a74ed6c6e27ba4368011e71b68fc2ad4",
     ("cycle3xp1", "mhs"):
         "e6fc1d2ab9c164170f2740958deca490304b659e5c91c1fce7ffd1bd1f88bb72",
     ("cycle3xp1", "compare"):
         "1d301a79d9377e4c882aac6cf1dd8dfb0ae8a09662d003cd4cc62e05ddbb060f",
     ("cycle4", "e1"):
         "eb2a6a505d71a8942327714ba91183e53a8d99a45d98796f1124779527804320",
+    ("cycle4", "e2"):
+        "434b7328866e97e4c0326ab9024abdf382d687e3e6fb7e4896eb3ac77c7f318b",
     ("cycle4", "mhs"):
         "569dfdfb37bcca857245bb6fd2e6bc08cac4bd20c84267c2058fbd58bf595126",
     ("cycle4", "compare"):
         "5d4690e0d3b753760ae95c605b2baaad092f18bd0a3a3d33586fc66901a897d7",
 }
 PINNED_ARGS = {"e1": ["e1", "--page", "both", "--dump"],
+               "e2": ["e2", "--page", "both"],
                "mhs": ["mhs", "--dump"], "compare": ["compare"]}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -51,6 +52,25 @@ def test_wedge_and_contract():
     for nu, rest in [("a", {"b"}), ("b", {"a"}), ("c", {"a", "b"})]:
         s = wedge_insert_sign(ix, nu, rest)
         assert s * contract_sign(ix, nu, rest | {nu}) == 1
+
+
+def test_sign_rules_match_chi_on_every_subset():
+    """Counting the labels of A before nu gives chi's signs, for a
+    label order that is not the order of the labels' names."""
+    ix = IndexSet(["c", "e", "a", "d", "b"])
+    for size in range(len(ix.labels) + 1):
+        for a in map(frozenset, itertools.combinations(ix.labels, size)):
+            for nu in ix.labels:
+                if nu in a:
+                    assert contract_sign(ix, nu, a) == \
+                        chi(ix, (nu,), a - {nu})
+                    with pytest.raises(ValueError):
+                        wedge_insert_sign(ix, nu, a)
+                else:
+                    assert wedge_insert_sign(ix, nu, a) == \
+                        chi(ix, (nu,), a)
+                    with pytest.raises(ValueError):
+                        contract_sign(ix, nu, a)
 
 
 def test_constant_complex_two_labels_models():

@@ -55,6 +55,19 @@ def test_tensor_d_squared_random():
         tensor(k, l)  # constructor asserts d^2 = 0
 
 
+def test_betti_by_rank_nullity_equals_cohomology():
+    """betti(p) = dim(p) - rank d^p - rank d^{p-1} agrees with the
+    quotient of cocycles by coboundaries, also on tensor products,
+    where consecutive differentials are both nonzero."""
+    rng = random.Random(7)
+    for _ in range(20):
+        k = random_complex(rng, lo=-1, hi=2, maxdim=3)
+        l = random_complex(rng, lo=0, hi=1, maxdim=3)
+        for c in (k, tensor(k, l)):
+            for p in range(c.lo - 1, c.hi + 2):
+                assert c.betti(p) == c.cohomology(p)[0], p
+
+
 def test_cone_of_identity_acyclic():
     k = Complex({0: 1}, {})
     f = ChainMap(k, k, {0: Matrix.identity(1)})

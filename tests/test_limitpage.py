@@ -107,6 +107,21 @@ def test_cached_restrictions_stay_unchanged():
         assert page._restrict
         for (sigma, tau, deg), mat in page._restrict.items():
             assert mat == datum.restrict_mat(sigma, tau, deg)
+    # the K page also shares its self-intersection operators
+    assert page._selfop
+    for (nu, tau, c), mat in page._selfop.items():
+        assert mat == datum.ring(tau).mult_operator(
+            page._self_class(nu, tau), 2, c)
+
+
+def test_e2_dims_by_rank_equal_cohomology():
+    """E1Page.betti, from the ranks of d1, equals the dimension of the
+    quotient cohomology on every cell of both pages."""
+    for datum in fixtures()[1:] + [fixture_projective_space(3)]:
+        for page in (build_e1_A(datum), build_e1_K(datum)):
+            for (m, q) in page.cell_keys():
+                assert page.betti(m, q) == page.cohomology(m, q)[0], \
+                    (page.variant, m, q)
 
 
 # comparison map
