@@ -22,7 +22,7 @@ class Complex:
     d: map degree p -> Matrix of shape (dim(p+1), dim(p)).
     """
 
-    def __init__(self, dims, diffs, check=True):
+    def __init__(self, dims, diffs):
         self.dims = dict(dims)
         degs = [p for p, n in dims.items() if n > 0]
         self.lo = min(degs) if degs else 0
@@ -37,11 +37,9 @@ class Complex:
                     "differential at degree %d: expected %dx%d, got %dx%d"
                     % (p, self.dim(p + 1), self.dim(p), m.rows, m.cols))
             self.d[p] = m
-        if check:
-            for p in range(self.lo, self.hi):
-                if not (self.d[p + 1] * self.d[p]).is_zero():
-                    raise ConsistencyError("d^2 != 0 at degree %d" % p)
-        self._coh = {}
+        for p in range(self.lo, self.hi):
+            if not (self.d[p + 1] * self.d[p]).is_zero():
+                raise ConsistencyError("d^2 != 0 at degree %d" % p)
         self._ranks = {}
 
     def __eq__(self, other):
@@ -73,11 +71,7 @@ class Complex:
         proj maps cocycles in degree p to class coordinates; sec picks
         representative cocycles.
         """
-        if p not in self._coh:
-            z = kernel(self.diff(p))
-            b = image(self.diff(p - 1))
-            self._coh[p] = quotient(z, b)
-        return self._coh[p]
+        return quotient(kernel(self.diff(p)), image(self.diff(p - 1)))
 
     def _rank_d(self, p):
         """rank d^p, computed once per degree."""
@@ -86,9 +80,8 @@ class Complex:
         return self._ranks[p]
 
     def betti(self, p):
-        """dim H^p by rank-nullity: dim(p) - rank d^p - rank d^{p-1}.
-        This needs d^2 = 0, which the constructor checks unless
-        check=False."""
+        """dim H^p by rank-nullity: dim(p) - rank d^p - rank d^{p-1},
+        as the constructor checks d^2 = 0."""
         if not self.dim(p):
             return 0
         return self.dim(p) - self._rank_d(p) - self._rank_d(p - 1)
@@ -137,7 +130,7 @@ def shift(k, m):
     dims = {p - m: k.dim(p) for p in k.degrees()}
     sign = Q(1) if m % 2 == 0 else Q(-1)
     diffs = {p - m: k.diff(p).scale(sign) for p in k.degrees()}
-    return Complex(dims, diffs, check=False)
+    return Complex(dims, diffs)
 
 
 def shift_map(f, m):

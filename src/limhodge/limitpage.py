@@ -200,30 +200,23 @@ class E1Page:
 
     def _diagonal(self, s):
         """The complex of E1 cells and d1 along the line m + q = s, the
-        cell (m, q) in degree -m; None when no cell lies on the line."""
+        cell (m, q) in degree -m; the zero complex when no cell lies on
+        the line."""
         if s not in self._cx:
             ms = [mm for (mm, qq) in self.cells if mm + qq == s]
-            if not ms:
-                self._cx[s] = None
-            else:
-                degs = range(-max(ms), -min(ms) + 1)
-                self._cx[s] = Complex({p: self.dim(-p, s + p) for p in degs},
-                                      {p: self.d1(-p, s + p) for p in degs})
+            degs = range(-max(ms), -min(ms) + 1) if ms else ()
+            self._cx[s] = Complex({p: self.dim(-p, s + p) for p in degs},
+                                  {p: self.d1(-p, s + p) for p in degs})
         return self._cx[s]
 
     def betti(self, m, q):
         """The dimension of the E2 cell (m, q), from the ranks of d1."""
-        cx = self._diagonal(m + q)
-        return 0 if cx is None else cx.betti(-m)
+        return self._diagonal(m + q).betti(-m)
 
     def cohomology(self, m, q):
         """(dim, proj, sec) of the E2 cell (m, q): the cohomology of the
         complex of E1 cells and d1 along the line m + q = const."""
-        cx = self._diagonal(m + q)
-        if cx is None or cx.dim(-m) == 0:
-            d = self.dim(m, q)
-            return 0, Matrix.zero(0, d), Matrix.zero(d, 0)
-        return cx.cohomology(-m)
+        return self._diagonal(m + q).cohomology(-m)
 
 
 class PageA(E1Page):
@@ -499,15 +492,13 @@ class LimitMHS:
             dim, proj, sec = self.page.cohomology(*cell)
             if dim:
                 self.e2[cell] = (dim, proj, sec)
+        # each E2 cell (m, q) is the whole of gr^W_{q+m} H^q
         self.weights = {}
         self.hodge = {}
-        for (m, q), (dim, _, _) in sorted(self.e2.items()):
-            w = q + m
-            self.weights.setdefault(q, {})
-            self.weights[q][w] = self.weights[q].get(w, 0) + dim
-            self.hodge.setdefault(q, {})
-            p = Q(w, 2)
-            self.hodge[q][p] = self.hodge[q].get(p, 0) + dim
+        for (m, q) in sorted(self.e2, key=lambda cell: (cell[1], cell[0])):
+            dim = self.e2[(m, q)][0]
+            self.weights.setdefault(q, {})[q + m] = dim
+            self.hodge.setdefault(q, {})[Q(q + m, 2)] = dim
         # descend N and l to E2. N commutes with d1 on every datum: it
         # is the identity (sigma, r) -> (sigma, r+1), and d1 out of
         # (sigma, r) does not depend on r. l does only on valid data.
@@ -565,9 +556,6 @@ class LimitMHS:
 
     def n_block(self, m, q):
         return self._block(self.N, m, q, -2, 0)
-
-    def l_block(self, m, q):
-        return self._block(self.l, m, q, 0, 2)
 
     def n_power(self, m, q, i):
         return self._power(self.N, m, q, -2, 0, i)
@@ -765,15 +753,12 @@ def compare_pages(datum):
                for (m, q) in page.cells if page.trusted(m)}
     for (m, q) in sorted(trusted):
         da, dk = page_a.betti(m, q), page_k.betti(m, q)
-        cell_dims[(m, q)] = (da, dk)
-        if da == 0 and dk == 0:
+        if not (da or dk):
             continue
+        cell_dims[(m, q)] = (da, dk)
         # the induced map has rank 0 when either side is zero
-        rk = 0
-        if da and dk:
-            sa = page_a.cohomology(m, q)[2]
-            pk_proj = page_k.cohomology(m, q)[1]
-            rk = rank(pk_proj * phi(m, q) * sa)
+        rk = rank(page_k.cohomology(m, q)[1] * phi(m, q)
+                  * page_a.cohomology(m, q)[2]) if da and dk else 0
         report.add("E2-iso", "m=%d,q=%d" % (m, q), da == dk and rk == da,
                    "E2 dims %d vs %d, induced rank %d" % (da, dk, rk))
     return report, cell_dims

@@ -644,20 +644,16 @@ def dumps(datum):
         out["strata"][skey(ix, s)] = {
             "dims": ring.dims,
             "products": {"%d,%d" % ij: m.to_json()
-                         for ij, m in sorted(ring.mult.items())},
+                         for ij, m in ring.mult.items()},
             "trace": [rat_to_str(x) for x in datum.traces[s]],
             "ample": [rat_to_str(x) for x in datum.ample[s]],
         }
-    for (s, t), mats in sorted(datum.restrictions.items(),
-                               key=lambda kv: (ix.subset_key(kv[0][0]),
-                                               ix.subset_key(kv[0][1]))):
+    for (s, t), mats in datum.restrictions.items():
         out["restrictions"]["%s|%s" % (skey(ix, s), skey(ix, t))] = {
-            str(deg): m.to_json() for deg, m in sorted(mats.items())}
-    for (s, nu), mats in sorted(datum.gysin.items(),
-                                key=lambda kv: (ix.subset_key(kv[0][0]),
-                                                kv[0][1])):
+            str(deg): m.to_json() for deg, m in mats.items()}
+    for (s, nu), mats in datum.gysin.items():
         out["gysin"]["%s|%s" % (skey(ix, s), nu)] = {
-            str(deg): m.to_json() for deg, m in sorted(mats.items())}
+            str(deg): m.to_json() for deg, m in mats.items()}
     return json.dumps(out, indent=1, sort_keys=True)
 
 

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -58,6 +60,30 @@ def test_mhs_report(tmp_path):
     assert "H^1  w0:1 w2:1" in text
     data = json.loads(report_render(result, "json"))
     assert data == result
+
+
+def _reversed_keys(obj):
+    """obj with the keys of every dict in it in reverse order."""
+    if isinstance(obj, dict):
+        return {k: _reversed_keys(v) for k, v in reversed(list(obj.items()))}
+    if isinstance(obj, list):
+        return [_reversed_keys(x) for x in obj]
+    return obj
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_reports_do_not_depend_on_key_order(tmp_path, command):
+    """Both renderers order what they print themselves: a result whose
+    dicts hold their keys in another order renders the same text."""
+    path = str(tmp_path / "cycle3xp1.json")
+    strata.save(strata.fixture_product_with_p1(
+        strata.fixture_cycle_of_p1(3)), path)
+    argv = [command, path] + (["--dump"] if command in ("e1", "mhs") else [])
+    _, result = run(_args(*argv))
+    rev = _reversed_keys(result)
+    assert list(rev) != list(result)
+    for fmt in ("json", "table"):
+        assert report_render(rev, fmt) == report_render(result, fmt)
 
 
 def test_polarize_strict_on_negated_trace(tmp_path):
@@ -575,6 +601,32 @@ def test_readme_command_lines_parse():
               for line in lines]
     assert {args.command for args in parsed} == set(cli.COMMANDS) | \
         {"fixture"}
+
+
+def test_readme_library_example_prints_its_comments():
+    """README's python block runs, and each print whose comment is a
+    Python literal prints exactly that text: dict order included."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Library use\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    assert len(printed) == len(comments)
+    checked = 0
+    for got, comment in zip(printed, comments):
+        try:
+            ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            continue
+        assert got == comment
+        checked += 1
+    assert checked == 2
 
 
 def _source_trees():

@@ -127,6 +127,25 @@ def test_load_unknown_label():
         loads(json.dumps(data))
 
 
+def _reversed(d):
+    return dict(reversed(list(d.items())))
+
+
+def test_dumps_does_not_depend_on_dict_order():
+    """A datum built with every dict, and its nerve, in reverse order
+    dumps to the same text: json's sort_keys orders every key."""
+    d = fixture_product_with_p1(fixture_cycle_of_p1(3))
+    rev = StrataDatum(
+        d.n, d.ix.labels, reversed(d.strata),
+        {s: Ring(r.dims, _reversed(r.mult))
+         for s, r in _reversed(d.rings).items()},
+        {k: _reversed(m) for k, m in _reversed(d.restrictions).items()},
+        {k: _reversed(m) for k, m in _reversed(d.gysin).items()},
+        _reversed(d.traces), _reversed(d.ample))
+    assert list(rev.gysin) == list(reversed(list(d.gysin)))
+    assert dumps(rev) == dumps(d)
+
+
 def test_mutation_sensitivity():
     base = dumps(fixture_cycle_of_p1(3))
     import json
