@@ -23,6 +23,7 @@ from itertools import permutations, combinations
 from .exactlin import Matrix, Subspace, _require, kron
 from .homalg import (
     Complex, ChainMap, FilteredComplex, tensor, tensor_offsets, tensor_map,
+    zero_complex,
 )
 
 
@@ -45,11 +46,6 @@ class IndexSet:
 
     def subset_key(self, sigma):
         return tuple(self.pos(x) for x in self.sort(sigma))
-
-    def tuples(self, length):
-        """Injective tuples, lexicographic in label positions."""
-        return sorted(permutations(self.labels, length),
-                      key=lambda t: tuple(self.pos(x) for x in t))
 
 
 # tuple operations
@@ -121,13 +117,12 @@ class CoCubicalComplex:
     ChainMap} for tau = sigma + one label.  General inclusion maps are
     composites; path independence is the functoriality check."""
 
-    def __init__(self, ix, complexes, cover_maps, check=True):
+    def __init__(self, ix, complexes, cover_maps):
         self.ix = ix
         self.complexes = dict(complexes)
         self.cover_maps = dict(cover_maps)
         self._map_cache = {}
-        if check:
-            self._check_functorial()
+        self._check_functorial()
 
     def complex(self, sigma):
         return self.complexes[frozenset(sigma)]
@@ -196,25 +191,25 @@ def tensor_cocubical(k, l):
     for key in k.cover_maps:
         fm = tensor_map(k.cover_maps[key], l.cover_maps[key])
         # rebuild on the shared complex objects
-        cover[key] = ChainMap(complexes[key[0]], complexes[key[1]],
-                              fm.f, check=False)
-    return CoCubicalComplex(k.ix, complexes, cover, check=False)
+        cover[key] = ChainMap(complexes[key[0]], complexes[key[1]], fm.f)
+    return CoCubicalComplex(k.ix, complexes, cover)
 
 
 class CechComplex:
     """Total Čech complex of the ordered model, which hosts tau.
 
-    The cell of Čech degree k is an injective tuple of k + 1 labels
-    whose underlying subset carries a complex.  blocks[n] is the ordered
+    The cell of Čech degree k is an ordering of a (k + 1)-subset that
+    carries a complex, listed by k and then label positions, so the
+    cells follow the diagram, not the label set.  blocks[n] is the ordered
     list of (k, idx, l, offset, size) with k + l = n and idx the tuple.
     """
 
     def __init__(self, K):
         self.K = K
         self.ix = K.ix
-        self.cells = cells = [(k, t) for k in range(len(self.ix.labels))
-                              for t in self.ix.tuples(k + 1)
-                              if frozenset(t) in K.complexes]
+        self.cells = cells = sorted(
+            ((len(s) - 1, t) for s in K.complexes for t in permutations(s)),
+            key=lambda c: (c[0], [self.ix.pos(x) for x in c[1]]))
         degs = set()
         for k, idx in cells:
             c = K.complex(idx)
@@ -222,7 +217,7 @@ class CechComplex:
                 if c.dim(l) > 0:
                     degs.add(k + l)
         if not degs:
-            self.total = Complex({0: 0}, {})
+            self.total = zero_complex()
             self.blocks = {}
             return
         lo, hi = min(degs), max(degs)

@@ -92,7 +92,7 @@ def zero_complex():
 
 
 class ChainMap:
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         self.source = source
         self.target = target
         self.f = {}
@@ -106,13 +106,12 @@ class ChainMap:
                 raise ConsistencyError("chain map: %dx%d component at "
                                        "degree %d" % (m.rows, m.cols, p))
             self.f[p] = m
-        if check:
-            for p in range(lo, hi):
-                lhs = self.target.diff(p) * self.comp(p)
-                rhs = self.comp(p + 1) * self.source.diff(p)
-                if lhs != rhs:
-                    raise ConsistencyError("chain map does not commute "
-                                           "with d at degree %d" % p)
+        for p in range(lo, hi):
+            lhs = self.target.diff(p) * self.comp(p)
+            rhs = self.comp(p + 1) * self.source.diff(p)
+            if lhs != rhs:
+                raise ConsistencyError("chain map does not commute "
+                                       "with d at degree %d" % p)
 
     def comp(self, p):
         return self.f.get(p, Matrix.zero(self.target.dim(p),
@@ -136,7 +135,7 @@ def shift(k, m):
 def shift_map(f, m):
     """f[m]: same component matrices, shifted degrees."""
     return ChainMap(shift(f.source, m), shift(f.target, m),
-                    {p - m: f.comp(p) for p in f.f}, check=False)
+                    {p - m: f.comp(p) for p in f.f})
 
 
 def tensor(k, l):
@@ -144,8 +143,6 @@ def tensor(k, l):
     lo, hi = k.lo + l.lo, k.hi + l.hi
     dims = {n: sum(k.dim(p) * l.dim(n - p) for p in k.degrees())
             for n in range(lo, hi + 1)}
-    if not any(dims.values()):
-        return zero_complex()
     offsets = {n: tensor_offsets(k, l, n) for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo, hi + 1):
@@ -331,13 +328,12 @@ def connecting(f, g):
 class FilteredComplex:
     """Complex with an increasing filtration W by subcomplexes."""
 
-    def __init__(self, complex_, w, check=True):
+    def __init__(self, complex_, w):
         self.complex = complex_
         # w: {m: {p: Subspace}}; missing degrees default to zero space.
         self.w_weights = sorted(w)
         self.w = w
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         c = self.complex

@@ -27,7 +27,8 @@ Normalization conventions (all certified by machine checks):
     of PageK.trace_row composed with d1, and the chain-map property of the
     comparison map phi;
   - the Lefschetz operator acts as +(ample class) on every summand;
-  - the trace of a point class is +1.
+  - the trace of a point class is +1;
+  - with no odd cohomology, every cell has q = m mod 2: (-1)^(m(q+1)) = 1.
 """
 
 from fractions import Fraction as Q
@@ -226,14 +227,13 @@ class PageA(E1Page):
 
     def _d1_from(self, s, m, q, out):
         dat, ix = self.datum, self.datum.ix
-        if len(s.sigma) > 1:
-            for nu in ix.sort(s.sigma):
-                tgt = self.find(m - 1, q + 1, (s.sigma - {nu}, s.r))
-                if tgt is None:
-                    continue
-                mat = dat.gysin_mat(s.sigma - {nu}, nu, s.c)
-                out.add_block(tgt.offset, s.offset, mat,
-                              -contract_sign(ix, nu, s.sigma))
+        for nu in ix.sort(s.sigma):
+            tgt = self.find(m - 1, q + 1, (s.sigma - {nu}, s.r))
+            if tgt is None:
+                continue
+            mat = dat.gysin_mat(s.sigma - {nu}, nu, s.c)
+            out.add_block(tgt.offset, s.offset, mat,
+                          -contract_sign(ix, nu, s.sigma))
         for nu, tau in dat.covers(s.sigma):
             tgt = self.find(m - 1, q + 1, (tau, s.r + 1))
             if tgt is None:
@@ -258,10 +258,10 @@ class PageA(E1Page):
         """Matrix P of the rational pairing between the E1 cells (m, q)
         and (-m, 2n-q): the summand (sigma, r) pairs only with
         (sigma, r+m), through the stratum cup product and trace, with
-        coefficient (-1)^(m(q+1)) eps(m)."""
+        coefficient eps(m), as (-1)^(m(q+1)) = 1 when q = m mod 2."""
         dat, n = self.datum, self.n
         out = Matrix.zero(self.dim(m, q), self.dim(-m, 2 * n - q))
-        kap = eps(m) * (-1 if (m * (q + 1)) % 2 else 1)
+        kap = eps(m)
         for s in self.summands(m, q):
             part = self.find(-m, 2 * n - q, (s.sigma, s.r + m))
             if part is None:

@@ -134,13 +134,9 @@ class StrataDatum:
             raise ConsistencyError("restriction from %r to %r, which it "
                                    "does not contain"
                                    % (sorted(sigma), sorted(tau)))
-        rs, rt = self.ring(sigma), self.ring(tau)
-        if sigma == tau:
-            return Matrix.identity(rs.dim(deg))
-        added = self.ix.sort(tau - sigma)
         cur = sigma
-        out = Matrix.identity(rs.dim(deg))
-        for x in added:
+        out = Matrix.identity(self.ring(sigma).dim(deg))
+        for x in self.ix.sort(tau - sigma):
             nxt = cur | {x}
             step = self.restrictions.get((cur, nxt), {}).get(deg)
             if step is None:
@@ -343,7 +339,7 @@ def validate(datum):
         for i in range(0, 2 * d + 1):
             for j in range(0, 2 * d + 1 - i):
                 if dim(i) and dim(j) and dim(i + j) and T(i, j) != _swap(
-                        T(j, i), dim(i), dim(j)).scale((-1) ** (i * j)):
+                        T(j, i), dim(i), dim(j)):
                     wit = "commutativity fails at (%d,%d)" % (i, j)
         for i in range(0, 2 * d + 1):
             for j in range(0, 2 * d + 1 - i):

@@ -91,6 +91,48 @@ def test_single_label_both_models():
     assert c.total.betti(0) == 1
 
 
+def path_cocubical(ix):
+    """Q in degree 0 on the singletons and the consecutive pairs of the
+    labels, with identity maps."""
+    labels = ix.labels
+    complexes = {frozenset({x}): Complex({0: 1}, {}) for x in labels}
+    for a, b in zip(labels, labels[1:]):
+        complexes[frozenset({a, b})] = Complex({0: 1}, {})
+    cover = {(s, t): ChainMap(complexes[s], complexes[t],
+                              {0: Matrix.identity(1)})
+             for s in complexes for t in complexes
+             if s < t and len(t) == len(s) + 1}
+    return CoCubicalComplex(ix, complexes, cover)
+
+
+def injective_tuple_cells(K):
+    """The Čech cells by their defining enumeration: every injective
+    tuple of the labels, by length and then label positions, kept when
+    its set carries a complex."""
+    ix = K.ix
+    return [(k, t) for k in range(len(ix.labels))
+            for t in sorted(itertools.permutations(ix.labels, k + 1),
+                            key=lambda t: [ix.pos(x) for x in t])
+            if frozenset(t) in K.complexes]
+
+
+def test_cech_cells_match_injective_tuples():
+    for labels in (["b", "a", "c"], ["c", "a", "d", "b"]):
+        ix = IndexSet(labels)
+        for K in (constant_cocubical(ix), path_cocubical(ix)):
+            assert CechComplex(K).cells == injective_tuple_cells(K)
+
+
+def test_cech_complex_scales_with_the_diagram():
+    # 30 labels have about 10^32 injective tuples, and the path diagram
+    # uses 88 of them
+    ix = IndexSet(["x%d" % i for i in range(30)])
+    c = CechComplex(path_cocubical(ix))
+    assert len(c.cells) == 88
+    assert (c.total.dim(0), c.total.dim(1)) == (30, 58)
+    assert (c.total.betti(0), c.total.betti(1)) == (1, 29)
+
+
 def diag_cocubical(ix, rng, maxdeg=2, maxdim=2):
     """Functorial by construction: every stalk is a complex with zero
     differential and every cover map is a fixed diagonal truncation."""
@@ -115,8 +157,7 @@ def diag_cocubical(ix, rng, maxdeg=2, maxdim=2):
                 for i in range(min(rows_n, cols_n)):
                     m[i, i] = Q(1)
                 comps[p] = m
-            cover[(s, t)] = ChainMap(complexes[s], complexes[t], comps,
-                                     check=False)
+            cover[(s, t)] = ChainMap(complexes[s], complexes[t], comps)
     try:
         return CoCubicalComplex(ix, complexes, cover)
     except AssertionError:
@@ -389,7 +430,7 @@ def test_tau_filtration_bounds():
                                 rows.append(v)
                 layer[p] = Subspace(c.dim(p), rows)
             w[m] = layer
-        kl_filts[s] = FilteredComplex(c, w, check=False)
+        kl_filts[s] = FilteredComplex(c, w)
     for delta in (False, True):
         fk = cech_filtration(ck, filts, delta=delta)
         fkl = cech_filtration(ckl, kl_filts, delta=delta)

@@ -327,3 +327,17 @@ def test_relabeling_invariance():
     assert all(r["ok"] for r in verify_polarized(lim))
     report, _ = compare_pages(datum)
     assert all_checks_pass(report)
+
+
+def test_every_e1_cell_has_q_congruent_to_m():
+    # Hodge-Tate data has no odd cohomology; the signs (-1)^(m(q+1)) of
+    # PageA.pairing and (-1)^(ij) of graded commutativity rest on this
+    c3 = cycle3()
+    for d in [fixture_projective_space(1), fixture_projective_space(2),
+              fixture_projective_space(3), c3, fixture_cycle_of_p1(4),
+              fixture_product_with_p1(c3),
+              fixture_product_with_p1(fixture_product_with_p1(c3))]:
+        for page in (build_e1_A(d), build_e1_K(d)):
+            cells = page.cell_keys()
+            assert cells
+            assert all((q - m) % 2 == 0 for m, q in cells), cells

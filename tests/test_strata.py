@@ -11,7 +11,7 @@ from limhodge.exactlin import ConsistencyError, Matrix
 from limhodge.strata import (
     StrataDatum, StrataError, Ring, Report, validate, all_checks_pass,
     fixture_projective_space, fixture_cycle_of_p1, fixture_product_with_p1,
-    save, load, dumps, loads,
+    p1_ring, point_ring, save, load, dumps, loads,
 )
 
 
@@ -483,3 +483,59 @@ def test_add_zero_names_the_first_entry_in_row_major_order():
         {"check": "defect", "where": "here", "ok": False,
          "witness": "entry (1,2) = -1/2"},
         {"check": "cancelled", "where": "here", "ok": True, "witness": ""}]
+
+
+def three_planes():
+    """Three planes X0, X1, X2 (n = 2), each two meeting in a line and
+    all three in one point: the smallest datum with a triple point."""
+    labels = ["X0", "X1", "X2"]
+    plane = fixture_projective_space(2).ring({"X"})
+    pairs = [frozenset(p) for p in (("X0", "X1"), ("X0", "X2"),
+                                    ("X1", "X2"))]
+    triple = frozenset(labels)
+    rings, traces, ample, restrictions = {}, {}, {}, {}
+    for x in labels:
+        s = frozenset({x})
+        rings[s], traces[s], ample[s] = plane, [Q(1)], [Q(1)]
+        for p in pairs:
+            if x in p:
+                # the line class restricts to the point class of the line
+                restrictions[(s, p)] = {0: Matrix.identity(1),
+                                        2: Matrix.identity(1),
+                                        4: Matrix.zero(0, 1)}
+    for p in pairs:
+        rings[p], traces[p], ample[p] = p1_ring(), [Q(1)], [Q(1)]
+        restrictions[(p, triple)] = {0: Matrix.identity(1),
+                                     2: Matrix.zero(0, 1)}
+    rings[triple], traces[triple], ample[triple] = point_ring(), [Q(1)], []
+    return StrataDatum(
+        n=2, labels=labels, nerve=[{x} for x in labels] + pairs + [triple],
+        rings=rings, restrictions=restrictions, gysin={}, traces=traces,
+        ample=ample)
+
+
+def test_restriction_functoriality_runs_on_a_triple_point():
+    rep = validate(three_planes())
+    func = [c for c in rep if c["check"] == "restriction-functoriality"]
+    assert [c["where"] for c in func] == [
+        "X0->X0,X1,X2", "X1->X0,X1,X2", "X2->X0,X1,X2"]
+    assert all_checks_pass(rep), [c for c in rep if not c["ok"]]
+
+
+def test_restriction_functoriality_catches_a_scaled_restriction():
+    d = three_planes()
+    key = (frozenset({"X0", "X1"}), frozenset({"X0", "X1", "X2"}))
+    d.restrictions[key][0] = Matrix(1, 1, [[2]])
+    failed = {c["check"] for c in validate(d) if not c["ok"]}
+    assert "restriction-functoriality" in failed
+
+
+def test_code_built_odd_cohomology_is_rejected():
+    ring = Ring([1, 1, 1], {})
+    with pytest.raises(StrataError) as exc:
+        StrataDatum(n=1, labels=["X"], nerve=[{"X"}],
+                    rings={frozenset({"X"}): ring}, restrictions={},
+                    gysin={}, traces={frozenset({"X"}): [Q(1)]},
+                    ample={frozenset({"X"}): [Q(1)]})
+    assert str(exc.value) == ("strata/X/dims: degree 1 has dimension 1; "
+                              "Hodge-Tate data has no odd cohomology")
