@@ -158,21 +158,18 @@ class CoCubicalComplex:
                      "cover map %r: not between the complexes of its ends",
                      (sorted(sigma), sorted(tau)))
         for sigma in self.complexes:
-            for x in self.ix.labels:
-                for y in self.ix.labels:
-                    if x == y or x in sigma or y in sigma:
-                        continue
-                    tau = sigma | {x, y}
-                    if tau not in self.complexes:
-                        continue
-                    via_x = self._compose((sigma, sigma | {x}),
-                                          (sigma | {x}, tau))
-                    via_y = self._compose((sigma, sigma | {y}),
-                                          (sigma | {y}, tau))
-                    for p in self.complexes[tau].degrees():
-                        _require(via_x.get(p) == via_y.get(p),
-                                 "functoriality fails from %r to %r in "
-                                 "degree %d", sorted(sigma), sorted(tau), p)
+            for x, y in combinations(self.ix.labels, 2):
+                tau = sigma | {x, y}
+                if x in sigma or y in sigma or tau not in self.complexes:
+                    continue
+                via_x = self._compose((sigma, sigma | {x}),
+                                      (sigma | {x}, tau))
+                via_y = self._compose((sigma, sigma | {y}),
+                                      (sigma | {y}, tau))
+                for p in self.complexes[tau].degrees():
+                    _require(via_x.get(p) == via_y.get(p),
+                             "functoriality fails from %r to %r in "
+                             "degree %d", sorted(sigma), sorted(tau), p)
 
     def _compose(self, step1, step2):
         f1 = self.cover_maps[step1]

@@ -286,7 +286,6 @@ class PageK(E1Page):
     def __init__(self, datum, cells, m_max):
         super().__init__(datum, cells)
         self.m_max = m_max
-        self._selfcls = {}
         self._selfop = {}
 
     def trusted(self, m):
@@ -338,17 +337,13 @@ class PageK(E1Page):
         Y_tau.  The restrictions of all components to Y_nu sum to zero
         in the ambient family, so the self-restriction equals minus the
         sum of the Gysin images g_mu(1) over the other components."""
-        key = (nu, tau)
-        if key not in self._selfcls:
-            dat = self.datum
-            single = frozenset({nu})
-            acc = [Q(0)] * dat.ring(single).dim(2)
-            for mu, pair in dat.covers(single):
-                v = dat.gysin_mat(single, mu, 0).matvec(dat.ring(pair).unit)
-                acc = [a - b for a, b in zip(acc, v)]
-            self._selfcls[key] = dat.restrict_mat(single, tau, 2) \
-                .matvec(acc)
-        return self._selfcls[key]
+        dat = self.datum
+        single = frozenset({nu})
+        acc = [Q(0)] * dat.ring(single).dim(2)
+        for mu, pair in dat.covers(single):
+            v = dat.gysin_mat(single, mu, 0).matvec(dat.ring(pair).unit)
+            acc = [a - b for a, b in zip(acc, v)]
+        return dat.restrict_mat(single, tau, 2).matvec(acc)
 
     def _self_op(self, nu, tau, c):
         """Multiplication by _self_class(nu, tau) from degree c of

@@ -279,7 +279,7 @@ class Report(list):
     """Verdicts of a run, in order: dicts with keys check, where, ok and
     witness. A failing entry names its witness; a passing one has ""."""
 
-    def add(self, check, where, ok, witness=""):
+    def add(self, check, where, ok, witness):
         ok = bool(ok)
         self.append({"check": check, "where": where, "ok": ok,
                      "witness": "" if ok else witness})
@@ -573,16 +573,13 @@ def fixture_product_with_p1(datum):
                     + Matrix(1, len(one), [one]) * c[(2, 2)]).row(0)
     restrictions = {
         (s, t): _kunneth_lift(mats, fibers[s], datum.rings[t], rings[s],
-                              rings[t], 0)
+                              rings[t])
         for (s, t), mats in datum.restrictions.items()}
-    gysin = {
-        (s, nu): _kunneth_lift(mats, fibers[s | {nu}], datum.rings[s],
-                               rings[s | {nu}], rings[s], 2)
-        for (s, nu), mats in datum.gysin.items()}
+    # The datum derives the Gysin maps from the adjunction.
     return StrataDatum(
         n=datum.n + 1, labels=list(datum.ix.labels),
         nerve=datum.strata, rings=rings,
-        restrictions=restrictions, gysin=gysin, traces=traces,
+        restrictions=restrictions, gysin={}, traces=traces,
         ample=ample)
 
 
@@ -599,17 +596,16 @@ def _fibers(ring):
     return out
 
 
-def _kunneth_lift(mats, fibers, base_tgt, src, tgt, shift):
-    """Lift the maps mats[i]: H^i(Y) -> H^{i+shift}(base_tgt) to the
-    Künneth products src -> tgt with P^1, as the same block on both
-    fiber parts u = 0, 2, in every degree of the smaller stratum; src is
-    Y x P^1 and `fibers` are those of Y."""
+def _kunneth_lift(mats, fibers, base_tgt, src, tgt):
+    """Lift the restrictions mats[i]: H^i(Y) -> H^i(base_tgt) to the
+    Künneth products src = Y x P^1 -> tgt, as the same block on both
+    fiber parts u = 0, 2, in every degree of tgt; `fibers` are Y's."""
     new = {}
-    for k in range(min(src.top, tgt.top) + 1):
-        m = new[k] = Matrix.zero(tgt.dim(k + shift), src.dim(k))
+    for k in range(tgt.top + 1):
+        m = new[k] = Matrix.zero(tgt.dim(k), src.dim(k))
         for u in (0, 2):
             if k - u in mats:
-                m.add_block(base_tgt.dim(k + shift) if u else 0, 0,
+                m.add_block(base_tgt.dim(k) if u else 0, 0,
                             mats[k - u] * fibers[(k, u)])
     return new
 

@@ -1,9 +1,14 @@
+import os
 from fractions import Fraction as Q
 
+import pytest
+
+from limhodge import limitpage
+from limhodge.cli import main
 from limhodge.exactlin import Matrix, rank
 from limhodge.strata import (
     StrataDatum, fixture_projective_space, fixture_cycle_of_p1,
-    fixture_product_with_p1, all_checks_pass,
+    fixture_product_with_p1, all_checks_pass, save,
 )
 from limhodge.limitpage import (
     eps, build_e1_A, build_e1_K, phi_e1, compute_limit,
@@ -341,3 +346,79 @@ def test_every_e1_cell_has_q_congruent_to_m():
             cells = page.cell_keys()
             assert cells
             assert all((q - m) % 2 == 0 for m, q in cells), cells
+
+
+def every_fixture():
+    c3 = cycle3()
+    return [fixture_projective_space(1), fixture_projective_space(2),
+            fixture_projective_space(3), c3, fixture_cycle_of_p1(4),
+            fixture_product_with_p1(c3),
+            fixture_product_with_p1(fixture_product_with_p1(c3))]
+
+
+def test_each_e1_line_has_the_euler_characteristic_of_its_e2_cells():
+    """On every line m + q = s of either page, the alternating sum of
+    the E1 dimensions equals that of the E2 dimensions E1Page.betti
+    gives: an oracle for betti that reads no report."""
+    for datum in every_fixture():
+        for page in (build_e1_A(datum), build_e1_K(datum)):
+            e1, e2 = {}, {}
+            for (m, q) in page.cell_keys():
+                sign = -1 if m % 2 else 1
+                e1[m + q] = e1.get(m + q, 0) + sign * page.dim(m, q)
+                e2[m + q] = e2.get(m + q, 0) + sign * page.betti(m, q)
+            assert e1 == e2, page.variant
+
+
+def test_primitive_pieces_have_the_dimensions_of_the_e2_table():
+    """With e(i, q) = dim E2(i, q), the primitive piece P_i of H^q has
+    dimension e(i, q) - e(i+2, q) - e(i, q-2) + e(i+2, q-2): by the
+    Lefschetz decomposition under N and l, E2(i, q) is P_i plus the
+    images of N from E2(i+2, q) and of l from E2(i, q-2), which meet
+    in the image of E2(i+2, q-2)."""
+    for datum in every_fixture():
+        lim = compute_limit(datum)
+        e = lim.dim
+        for q in range(datum.n + 1):
+            for i in range(q + 1):
+                if e(i, q) == 0:
+                    continue
+                expected = e(i, q) - e(i + 2, q) - e(i, q - 2) \
+                    + e(i + 2, q - 2)
+                assert lim.primitive(q, i).dim == expected, (q, i)
+
+
+def _zero_phi_at(monkeypatch, cell):
+    """Make limitpage.phi_e1 return the zero map on the cell (m, q)."""
+    phi_e1 = limitpage.phi_e1
+
+    def faulty(page_a, page_k):
+        comps = phi_e1(page_a, page_k)
+        comps[cell] = Matrix.zero(comps[cell].rows, comps[cell].cols)
+        return comps
+    monkeypatch.setattr(limitpage, "phi_e1", faulty)
+
+
+@pytest.mark.parametrize("cell, names, first", [
+    ((0, 2), {"E2-iso", "phi-chain-map", "phi-l-commute",
+              "theta-phi-trace"}, ("phi-l-commute", "m=0,q=0")),
+    ((1, 1), {"E2-iso", "phi-N-commute", "phi-chain-map"},
+     ("phi-chain-map", "m=1,q=1")),
+])
+def test_a_fault_in_phi_fails_the_phi_checks(monkeypatch, cell, names,
+                                             first):
+    """No mutation of an input fails the checks on phi, so the fault is
+    put into phi itself: one component zeroed."""
+    _zero_phi_at(monkeypatch, cell)
+    report, _ = compare_pages(cycle3())
+    bad = [r for r in report if not r["ok"]]
+    assert {r["check"] for r in bad} == names
+    assert (bad[0]["check"], bad[0]["where"], bad[0]["witness"]) \
+        == first + ("entry (0,0) = 1",)
+
+
+def test_compare_exits_2_on_a_fault_in_phi(tmp_path, monkeypatch):
+    path = str(tmp_path / "cycle3.json")
+    save(cycle3(), path)
+    _zero_phi_at(monkeypatch, (0, 2))
+    assert main(["compare", path, "-o", os.devnull]) == 2
