@@ -76,7 +76,7 @@ class Complex:
     def _rank_d(self, p):
         """rank d^p, computed once per degree."""
         if p not in self._ranks:
-            self._ranks[p] = rank(self.diff(p))
+            self._ranks[p] = rank(self.d[p]) if p in self.d else 0
         return self._ranks[p]
 
     def betti(self, p):

@@ -287,6 +287,8 @@ class PageK(E1Page):
         super().__init__(datum, cells)
         self.m_max = m_max
         self._selfop = {}
+        self._ext = {}
+        self._signs = {}
 
     def trusted(self, m):
         """The truncation at m_max cuts the cells of weight index m_max
@@ -294,43 +296,62 @@ class PageK(E1Page):
         return m <= self.m_max - 1
 
     def _d1_from(self, s, m, q, out):
-        dat, ix = self.datum, self.datum.ix
-        tau = s.stratum
+        entry = self._lookup.get((m - 1, q + 1))
+        if entry is None:
+            return
+        table, tau = entry[0], s.stratum
         ksign = -1 if (len(s.cech) - 1) % 2 else 1
         # stratumwise Gysin; a residue label inside the Cech subset
         # contributes the cup product with the self-intersection class
-        for nu in ix.sort(s.sigma):
-            tgt = self.find(m - 1, q + 1, (s.cech, s.r, s.sigma - {nu}))
+        ext = self._extensions(tau)
+        for nu, _ in ext:
+            if nu not in s.sigma:
+                continue
+            tgt = table.get((s.cech, s.r, s.sigma - {nu}))
             if tgt is None:
                 continue
             if nu in s.cech:
                 mat = self._self_op(nu, tau, s.c)
             else:
-                mat = dat.gysin_mat(tau - {nu}, nu, s.c)
+                mat = self.datum.gysin_mat(tau - {nu}, nu, s.c)
             out.add_block(tgt.offset, s.offset, mat,
-                          ksign * contract_sign(ix, nu, s.sigma))
+                          ksign * self._sign(nu, s.sigma))
         # dlog-t part: lowers the u-degree, adds a residue label
         if s.r >= 1:
-            for nu in ix.labels:
-                if nu in s.sigma or (tau | {nu}) not in dat.nerve:
+            for nu, up in ext:
+                if nu in s.sigma:
                     continue
-                tgt = self.find(m - 1, q + 1,
-                                (s.cech, s.r - 1, s.sigma | {nu}))
+                tgt = table.get((s.cech, s.r - 1, s.sigma | {nu}))
                 if tgt is None:
                     continue
-                mat = self.restrict(tau, tau | {nu}, s.c)
-                out.add_block(tgt.offset, s.offset, mat,
-                              ksign * wedge_insert_sign(ix, nu, s.sigma))
+                out.add_block(tgt.offset, s.offset,
+                              self.restrict(tau, up, s.c),
+                              ksign * self._sign(nu, s.sigma))
         # Cech coface
-        for nu in ix.labels:
-            if nu in s.cech or (tau | {nu}) not in dat.nerve:
+        for nu, up in ext:
+            if nu in s.cech:
                 continue
-            tgt = self.find(m - 1, q + 1, (s.cech | {nu}, s.r, s.sigma))
+            tgt = table.get((s.cech | {nu}, s.r, s.sigma))
             if tgt is None:
                 continue
-            mat = self.restrict(tau, tau | {nu}, s.c)
-            out.add_block(tgt.offset, s.offset, mat,
-                          wedge_insert_sign(ix, nu, s.cech))
+            out.add_block(tgt.offset, s.offset, self.restrict(tau, up, s.c),
+                          self._sign(nu, s.cech))
+
+    def _sign(self, nu, a):
+        """contract_sign or wedge_insert_sign of nu and a, once per page."""
+        sign = self._signs.get((nu, a))
+        if sign is None:
+            f = contract_sign if nu in a else wedge_insert_sign
+            sign = self._signs[(nu, a)] = f(self.datum.ix, nu, a)
+        return sign
+
+    def _extensions(self, tau):
+        """The pairs (nu, tau + nu) with tau + nu in the nerve, in label
+        order, built once per page; for nu in tau, tau + nu = tau."""
+        if tau not in self._ext:
+            self._ext[tau] = [(nu, tau | {nu}) for nu in self.datum.ix.labels
+                              if tau | {nu} in self.datum.nerve]
+        return self._ext[tau]
 
     def _self_class(self, nu, tau):
         """Degree-2 self-intersection class of the nu-th component on
@@ -402,6 +423,8 @@ def build_e1_K(datum):
     arbitrarily large m but E2 is supported in |m| <= 2n - |q - n|."""
     m_max = 2 * datum.n + 2
     ix = datum.ix
+    # Cech and residue subsets are empty or lie in the (subset-closed) nerve
+    keys = {s: ix.subset_key(s) for s in [frozenset()] + datum.strata}
     cells = {}
     for tau in datum.strata:
         ring = datum.ring(tau)
@@ -413,7 +436,7 @@ def build_e1_K(datum):
                 k = asize - 1
                 rest = tau - cech
                 for rsize in range(asize + 1):
-                    for rho_t in combinations(ix.sort(cech), rsize):
+                    for rho_t in combinations(cech_t, rsize):
                         sigma = rest | frozenset(rho_t)
                         r = 0
                         while len(sigma) - k + 2 * r <= m_max:
@@ -425,8 +448,7 @@ def build_e1_K(datum):
                                              ring.dim(c)))
                             r += 1
     for lst in cells.values():
-        lst.sort(key=lambda s: (ix.subset_key(s.cech), s.r,
-                                ix.subset_key(s.sigma)))
+        lst.sort(key=lambda s: (keys[s.cech], s.r, keys[s.sigma]))
     return PageK(datum, cells, m_max)
 
 

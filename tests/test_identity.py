@@ -24,6 +24,11 @@ COMMANDS = {
 # means to alter a report pins the new digest and says why.
 DIGEST = "4fea4c27add5d81ca1803c7e2bb387b37572fa2c5178cf77a7737e1ee5338ea4"
 
+# The E1 pages with every d1 matrix printed, which none of COMMANDS
+# prints: sha256 of _manifest's lines over the same 66 inputs.
+E1_COMMANDS = {"e1": ["e1", "--page", "both", "--dump"]}
+E1_DIGEST = "ce87dd25c422951468d760d731ec2d15614cfe26ebed5d678548c03ab46f6b64"
+
 
 def _entries(data):
     """The JSON path of every rational entry of a strata file: product
@@ -57,7 +62,7 @@ def _mutations(data):
             yield "/".join(map(str, path)) + tag, mutant
 
 
-def _manifest(directory):
+def _manifest(directory, commands):
     """One line per case: its name, exit code and sha256 of stdout.
     The inputs are written to `directory`, the current directory, so
     that each report names its input the same way on every run."""
@@ -66,7 +71,7 @@ def _manifest(directory):
     for i, (name, mutant) in enumerate(_mutations(data)):
         fname = "m%d.json" % i
         (directory / fname).write_text(json.dumps(mutant))
-        for command, argv in COMMANDS.items():
+        for command, argv in commands.items():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli.main(argv + [fname, "--format", "json"])
@@ -78,7 +83,15 @@ def _manifest(directory):
 
 def test_cycle3_mutation_reports_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    lines = _manifest(tmp_path)
+    lines = _manifest(tmp_path, COMMANDS)
     assert len(lines) == 66 * len(COMMANDS)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DIGEST
+
+
+def test_cycle3_mutation_e1_dumps_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _manifest(tmp_path, E1_COMMANDS)
+    assert len(lines) == 66
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == E1_DIGEST

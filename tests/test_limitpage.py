@@ -8,7 +8,7 @@ from limhodge.cli import main
 from limhodge.exactlin import Matrix, rank
 from limhodge.strata import (
     StrataDatum, fixture_projective_space, fixture_cycle_of_p1,
-    fixture_product_with_p1, all_checks_pass, save,
+    fixture_product_with_p1, all_checks_pass, save, dumps,
 )
 from limhodge.limitpage import (
     eps, build_e1_A, build_e1_K, phi_e1, compute_limit,
@@ -117,6 +117,30 @@ def test_cached_restrictions_stay_unchanged():
     for (nu, tau, c), mat in page._selfop.items():
         assert mat == datum.ring(tau).mult_operator(
             page._self_class(nu, tau), 2, c)
+
+
+def test_k_page_d1_does_not_depend_on_build_order():
+    """Every K-page d1 is the same whether the cells are built in
+    forward order, in reverse order or alone, each way on fresh pages;
+    every cell lists its summands in (Cech subset, u-degree, residue
+    subset) order; and building and comparing both pages leaves the
+    datum unchanged."""
+    c3 = cycle3()
+    for datum in (fixture_projective_space(1), fixture_projective_space(3),
+                  c3, fixture_cycle_of_p1(4), fixture_product_with_p1(c3)):
+        forward = build_e1_K(datum)
+        mats = {cell: forward.d1(*cell) for cell in forward.cell_keys()}
+        backward = build_e1_K(datum)
+        for cell in reversed(backward.cell_keys()):
+            assert backward.d1(*cell) == mats[cell], cell
+            assert build_e1_K(datum).d1(*cell) == mats[cell], cell
+        key = datum.ix.subset_key
+        for cell, lst in forward.cells.items():
+            keys = [(key(s.cech), s.r, key(s.sigma)) for s in lst]
+            assert all(a < b for a, b in zip(keys, keys[1:])), cell
+        text = dumps(datum)
+        compare_pages(datum)
+        assert dumps(datum) == text
 
 
 def test_e2_dims_by_rank_equal_cohomology():
