@@ -728,7 +728,10 @@ def compare_pages(datum):
     """Cross-certification of the two pages: d1 squares to zero, the
     comparison map is a chain map commuting with N and l, the trace
     functional kills d1 and pulls back to the stratum trace sum, and
-    the induced map on E2 is a cellwise isomorphism."""
+    the induced map on E2 is a cellwise isomorphism.  E2 dimensions
+    come by rank-nullity from one rank per d1; the rank of the induced
+    map is rank [B_K ; phi Z_A] - rank B_K (cocycles Z, coboundaries
+    B) when phi is a chain map, else read off the E2 quotients."""
     page_a, page_k = build_e1_A(datum), build_e1_K(datum)
     comps = phi_e1(page_a, page_k)
 
@@ -765,17 +768,33 @@ def compare_pages(datum):
                "traces")
     if not d1_squares_zero:
         return report, {}  # E2 is undefined
+    chain_map = all(r["ok"] for r in report if r["check"] == "phi-chain-map")
+    ranks = {(page, m, q): rank(page.d1(m, q))
+             for page in (page_a, page_k) for (m, q) in page.cells}
+
+    def e2_dim(page, m, q):
+        # rank-nullity, as d1 squares to zero
+        return page.dim(m, q) - ranks.get((page, m, q), 0) \
+            - ranks.get((page, m + 1, q - 1), 0)
+
     cell_dims = {}
     trusted = {(m, q) for page in (page_a, page_k)
                for (m, q) in page.cells if page.trusted(m)}
     for (m, q) in sorted(trusted):
-        da, dk = page_a.betti(m, q), page_k.betti(m, q)
+        da, dk = e2_dim(page_a, m, q), e2_dim(page_k, m, q)
         if not (da or dk):
             continue
         cell_dims[(m, q)] = (da, dk)
-        # the induced map has rank 0 when either side is zero
-        rk = rank(page_k.cohomology(m, q)[1] * phi(m, q)
-                  * page_a.cohomology(m, q)[2]) if da and dk else 0
+        if chain_map:
+            # phi maps Z_A into Z_K and B_A into B_K, so the image of
+            # H(phi) is (B_K + phi Z_A) / B_K; it is 0 if da or dk is
+            cycles = kernel(page_a.d1(m, q)).basis
+            rk = rank(vstack([page_k.d1(m + 1, q - 1).transpose(),
+                              cycles * phi(m, q).transpose()])) \
+                - ranks.get((page_k, m + 1, q - 1), 0)
+        else:
+            rk = rank(page_k.cohomology(m, q)[1] * phi(m, q)
+                      * page_a.cohomology(m, q)[2])
         report.add("E2-iso", "m=%d,q=%d" % (m, q), da == dk and rk == da,
                    "E2 dims %d vs %d, induced rank %d" % (da, dk, rk))
     return report, cell_dims

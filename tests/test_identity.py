@@ -1,7 +1,8 @@
 """A pinned slice of the byte-identity sweep: the reports of every
 single-entry mutation of cycle(3), under five commands, hash to one
-digest.  A change that alters any report, exit code included, on valid
-or invalid input, changes the digest."""
+digest, and so do the `compare` reports of every single-entry mutation
+of cycle(3) x P^1.  A change that alters any report, exit code
+included, on valid or invalid input, changes the digest."""
 
 import contextlib
 import copy
@@ -28,6 +29,12 @@ DIGEST = "4fea4c27add5d81ca1803c7e2bb387b37572fa2c5178cf77a7737e1ee5338ea4"
 # prints: sha256 of _manifest's lines over the same 66 inputs.
 E1_COMMANDS = {"e1": ["e1", "--page", "both", "--dump"]}
 E1_DIGEST = "ce87dd25c422951468d760d731ec2d15614cfe26ebed5d678548c03ab46f6b64"
+
+# `compare` on cycle(3) x P^1, where E2 cells reach dimension 2 (every
+# E2 cell of cycle(3) has dimension 1): sha256 of _manifest's lines over
+# its 210 inputs.
+XP1_COMMANDS = {"compare": ["compare"]}
+XP1_DIGEST = "a99d45cb9bca609651e03db24029ed36d51d4d1db78589537889a70c497d956b"
 
 
 def _entries(data):
@@ -62,11 +69,12 @@ def _mutations(data):
             yield "/".join(map(str, path)) + tag, mutant
 
 
-def _manifest(directory, commands):
-    """One line per case: its name, exit code and sha256 of stdout.
-    The inputs are written to `directory`, the current directory, so
-    that each report names its input the same way on every run."""
-    data = json.loads(strata.dumps(strata.fixture_cycle_of_p1(3)))
+def _manifest(directory, datum, commands):
+    """One line per case: its name, exit code and sha256 of stdout,
+    over the mutations of datum.  The inputs are written to `directory`,
+    the current directory, so that each report names its input the same
+    way on every run."""
+    data = json.loads(strata.dumps(datum))
     lines = []
     for i, (name, mutant) in enumerate(_mutations(data)):
         fname = "m%d.json" % i
@@ -83,7 +91,7 @@ def _manifest(directory, commands):
 
 def test_cycle3_mutation_reports_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    lines = _manifest(tmp_path, COMMANDS)
+    lines = _manifest(tmp_path, strata.fixture_cycle_of_p1(3), COMMANDS)
     assert len(lines) == 66 * len(COMMANDS)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DIGEST
@@ -91,7 +99,18 @@ def test_cycle3_mutation_reports_are_pinned(tmp_path, monkeypatch):
 
 def test_cycle3_mutation_e1_dumps_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    lines = _manifest(tmp_path, E1_COMMANDS)
+    lines = _manifest(tmp_path, strata.fixture_cycle_of_p1(3),
+                      E1_COMMANDS)
     assert len(lines) == 66
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == E1_DIGEST
+
+
+def test_cycle3xp1_mutation_compare_reports_are_pinned(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    datum = strata.fixture_product_with_p1(strata.fixture_cycle_of_p1(3))
+    lines = _manifest(tmp_path, datum, XP1_COMMANDS)
+    assert len(lines) == 210
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == XP1_DIGEST

@@ -5,7 +5,7 @@ import pytest
 
 from limhodge import limitpage
 from limhodge.cli import main
-from limhodge.exactlin import Matrix, rank
+from limhodge.exactlin import Matrix, kernel, rank, vstack
 from limhodge.strata import (
     StrataDatum, fixture_projective_space, fixture_cycle_of_p1,
     fixture_product_with_p1, all_checks_pass, save, dumps,
@@ -168,9 +168,78 @@ def test_cell_off_every_line_is_zero():
 # comparison map
 
 def test_compare_pages_all_fixtures():
-    for datum in fixtures():
-        report, _ = compare_pages(datum)
+    """On the fixtures and cycle(3) x P^1 x P^1 x P^1, every check
+    passes, and the A side of every cell is the dimension compute_limit
+    gives it."""
+    fourfold = cycle3()
+    for _ in range(3):
+        fourfold = fixture_product_with_p1(fourfold)
+    for datum in fixtures() + [fourfold]:
+        report, dims = compare_pages(datum)
         assert all_checks_pass(report), [r for r in report if not r["ok"]]
+        lim = compute_limit(datum)
+        assert {cell: da for cell, (da, _) in dims.items()} \
+            == {cell: lim.dim(*cell) for cell in lim.e2}
+
+
+def test_e2_iso_rank_identity_equals_the_quotient_route():
+    """For a chain map phi, the rank of H(phi) on a cell is
+    rank [B_K ; phi Z_A] - rank B_K, as compare_pages reads it: equal to
+    the rank of proj_K phi sec_A on every trusted cell, each nonzero on
+    both pages here.  compare_pages's E2 dimensions equal
+    E1Page.betti."""
+    c3 = cycle3()
+    for datum in fixtures() + [fixture_projective_space(3),
+                               fixture_product_with_p1(
+                                   fixture_product_with_p1(c3))]:
+        page_a, page_k = build_e1_A(datum), build_e1_K(datum)
+        phi = phi_e1(page_a, page_k)
+        report, dims = compare_pages(datum)
+        assert all_checks_pass(report)
+        trusted = {(m, q) for page in (page_a, page_k)
+                   for (m, q) in page.cells if page.trusted(m)}
+        betti = {cell: (page_a.betti(*cell), page_k.betti(*cell))
+                 for cell in trusted}
+        assert dims == {cell: d for cell, d in betti.items() if any(d)}
+        for (m, q), (da, dk) in dims.items():
+            by_quotient = rank(page_k.cohomology(m, q)[1] * phi[(m, q)]
+                               * page_a.cohomology(m, q)[2])
+            bounds = page_k.d1(m + 1, q - 1)
+            by_ranks = rank(vstack([
+                bounds.transpose(),
+                kernel(page_a.d1(m, q)).basis * phi[(m, q)].transpose(),
+            ])) - rank(bounds)
+            assert by_ranks == by_quotient == da == dk, (m, q)
+
+
+def test_compare_pages_ranks_each_d1_once(monkeypatch):
+    """With every check passing, compare_pages builds no Complex, takes
+    no E2 quotient and ranks each d1 matrix of either page at most
+    once: d1 * d1 is formed only by the d1-squared checks."""
+    def refuse(*args):
+        raise AssertionError("called")
+    monkeypatch.setattr(limitpage, "Complex", refuse)
+    monkeypatch.setattr(limitpage.E1Page, "cohomology", refuse)
+    ranked = []
+
+    def counting_rank(m):
+        ranked.append(m)
+        return rank(m)
+    monkeypatch.setattr(limitpage, "rank", counting_rank)
+    pages = []
+    for name in ("build_e1_A", "build_e1_K"):
+        def recording(datum, build=getattr(limitpage, name)):
+            pages.append(build(datum))
+            return pages[-1]
+        monkeypatch.setattr(limitpage, name, recording)
+    report, dims = compare_pages(fixture_product_with_p1(cycle3()))
+    assert all_checks_pass(report)
+    for page in pages:
+        for cell in page.cell_keys():
+            d1 = page.d1(*cell)
+            assert sum(m is d1 for m in ranked) <= 1, (page.variant, cell)
+    # one rank per d1 and one per E2-iso cell
+    assert len(ranked) <= sum(len(p.cells) for p in pages) + len(dims)
 
 
 def test_cycle3_e2_cell_dims_both_pages():
@@ -412,15 +481,26 @@ def test_primitive_pieces_have_the_dimensions_of_the_e2_table():
                 assert lim.primitive(q, i).dim == expected, (q, i)
 
 
-def _zero_phi_at(monkeypatch, cell):
-    """Make limitpage.phi_e1 return the zero map on the cell (m, q)."""
+def _fault_phi(monkeypatch, cell, fault):
+    """Make limitpage.phi_e1 return fault(component) on the cell (m, q)."""
     phi_e1 = limitpage.phi_e1
 
     def faulty(page_a, page_k):
         comps = phi_e1(page_a, page_k)
-        comps[cell] = Matrix.zero(comps[cell].rows, comps[cell].cols)
+        comps[cell] = fault(comps[cell])
         return comps
     monkeypatch.setattr(limitpage, "phi_e1", faulty)
+
+
+def _zero_phi_at(monkeypatch, cell):
+    """Make limitpage.phi_e1 return the zero map on the cell (m, q)."""
+    _fault_phi(monkeypatch, cell, lambda m: Matrix.zero(m.rows, m.cols))
+
+
+def _zero_phi_column_at(monkeypatch, cell, col):
+    """Make limitpage.phi_e1 zero column col of its map on (m, q)."""
+    _fault_phi(monkeypatch, cell, lambda m: Matrix.from_sparse(m.cols, [
+        {j: x for j, x in row.items() if j != col} for row in m.nz]))
 
 
 @pytest.mark.parametrize("cell, names, first", [
@@ -446,3 +526,24 @@ def test_compare_exits_2_on_a_fault_in_phi(tmp_path, monkeypatch):
     save(cycle3(), path)
     _zero_phi_at(monkeypatch, (0, 2))
     assert main(["compare", path, "-o", os.devnull]) == 2
+
+
+@pytest.mark.parametrize("cell, failing", [
+    ((0, 2), [("phi-l-commute", "m=0,q=0", "entry (0,0) = 1"),
+              ("phi-l-commute", "m=0,q=2", "entry (0,0) = -1"),
+              ("phi-chain-map", "m=1,q=1", "entry (0,0) = -1"),
+              ("E2-iso", "m=0,q=2", "E2 dims 2 vs 2, induced rank 1")]),
+    ((-1, 1), [("phi-l-commute", "m=-1,q=1", "entry (0,0) = 1"),
+               ("phi-chain-map", "m=0,q=0", "entry (0,0) = -1"),
+               ("phi-N-commute", "m=1,q=1", "entry (0,0) = -1"),
+               ("E2-iso", "m=-1,q=1", "E2 dims 1 vs 1, induced rank 0")]),
+])
+def test_a_column_fault_in_phi_fails_e2_iso(monkeypatch, cell, failing):
+    """With column 0 of one component of phi zeroed on cycle(3) x P^1,
+    phi is no chain map and E2-iso fails with the rank of proj_K phi
+    sec_A.  The rank identity that compare_pages uses for a chain map
+    would pass E2-iso on both faults."""
+    _zero_phi_column_at(monkeypatch, cell, 0)
+    report, _ = compare_pages(fixture_product_with_p1(cycle3()))
+    assert [(r["check"], r["where"], r["witness"])
+            for r in report if not r["ok"]] == failing
