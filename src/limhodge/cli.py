@@ -12,7 +12,6 @@ theorem-check failure, 3 I/O error.
 
 import argparse
 import functools
-import json
 import sys
 from collections import namedtuple
 
@@ -244,7 +243,7 @@ def run(args):
 def report_render(result, fmt):
     """Render a result dict as schema-stable JSON or a plain table."""
     if fmt == "json":
-        return json.dumps(result, indent=1, sort_keys=True) + "\n"
+        return strata.json_text(result) + "\n"
     if "error" in result:
         lines = ["error: %s" % result["error"]]
     elif result["command"] == "fixture":

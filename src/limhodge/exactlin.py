@@ -10,7 +10,8 @@ completion of the basis. All arithmetic is exact, with no floating
 point anywhere.
 Inside an `Echelon`, rows are integer-first: an integral entry is an
 int, any other a fractions.Fraction, as nearly every pivot is 1 or -1.
-Every entry and pivot value it hands out is a Fraction.
+Every entry and pivot value it hands out is a Fraction. `rank` needs no
+basis: it eliminates the same integer-first rows forward only.
 """
 
 from fractions import Fraction
@@ -400,7 +401,26 @@ def rref(m):
 
 
 def rank(m):
-    return len(Echelon(m.cols, m.nz).rows)
+    """The rank of m by forward elimination: each integer-first row is
+    reduced only at the pivots it meets, and a pivot row, scaled to a
+    leading 1, is never cleared from the others."""
+    rows = {}
+    for row in m.nz:
+        w = {j: _int_first(x) for j, x in row.items()}
+        while w:
+            p = min(w)
+            r = rows.get(p)
+            if r is None:
+                f = w.pop(p)
+                if f == -1:
+                    w = {j: -x for j, x in w.items()}
+                elif f != 1:
+                    f = Q(f)
+                    w = {j: _int_first(x / f) for j, x in w.items()}
+                rows[p] = w
+                break
+            _axpy(w, -w.pop(p), r)
+    return len(rows)
 
 
 class Subspace:

@@ -63,7 +63,8 @@ class Complex:
         return range(self.lo, self.hi + 1)
 
     def diff(self, p):
-        return self.d.get(p, Matrix.zero(self.dim(p + 1), self.dim(p)))
+        d = self.d.get(p)
+        return Matrix.zero(self.dim(p + 1), self.dim(p)) if d is None else d
 
     def cohomology(self, p):
         """(dim, proj, sec) for H^p = ker d^p / im d^{p-1}.

@@ -16,6 +16,7 @@ Conventions baked into the data model:
 
 import json
 from fractions import Fraction as Q
+from json.encoder import encode_basestring_ascii as _quote
 
 from .exactlin import (
     ConsistencyError, Matrix, rank, rat_to_str, rat_from_str,
@@ -612,6 +613,45 @@ def _kunneth_lift(mats, fibers, base_tgt, src, tgt):
 
 # JSON round trip
 
+def json_text(value):
+    """json.dumps(value, indent=1, sort_keys=True) in one pass, for dicts
+    with str keys, lists, str, int, bool and None; anything else, such as
+    a float, a Fraction or an int key, raises TypeError."""
+    return _json_text(value, "\n")
+
+
+def _json_text(x, nl):
+    """x as json_text writes it, nl the line break and indent of x."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    inner = nl + " "
+    sep = "," + inner
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        return "{%s%s%s}" % (inner, sep.join(
+            _quote(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(x.items())), nl)
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        try:
+            # a row of a matrix dump: a list of strings, quoted in C
+            items = sep.join(map(_quote, x))
+        except TypeError:
+            items = sep.join(_json_text(v, inner) for v in x)
+        return "[%s%s%s]" % (inner, items, nl)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % t.__name__)
+
+
 def skey(ix, sigma):
     return ",".join(ix.sort(sigma))
 
@@ -646,7 +686,7 @@ def dumps(datum):
     for (s, nu), mats in datum.gysin.items():
         out["gysin"]["%s|%s" % (skey(ix, s), nu)] = {
             str(deg): m.to_json() for deg, m in mats.items()}
-    return json.dumps(out, indent=1, sort_keys=True)
+    return json_text(out)
 
 
 def load(path):

@@ -839,3 +839,33 @@ def test_d1_squared_failure_is_reported_not_raised(tmp_path):
                   if not c["ok"]]
         assert [c["check"] for c in failed].count("d1-squared-K") == 10
         assert all(c["witness"] for c in failed), failed
+
+
+def test_json_reports_are_json_dumps_bytes(tmp_path):
+    """The one-pass JSON writer gives json.dumps(indent=1,
+    sort_keys=True) byte for byte: for every command on every
+    fixtures() input, on the same inputs with a restriction changed,
+    whose checks fail, on error reports, and on the fixture command."""
+    paths = []
+    for i, datum in enumerate(fixtures()):
+        data = json.loads(strata.dumps(datum))
+        paths.append(tmp_path / ("f%d.json" % i))
+        paths[-1].write_text(strata.dumps(datum))
+        if data["restrictions"]:
+            data["restrictions"][min(data["restrictions"])]["0"][0][0] = "2"
+            paths.append(tmp_path / ("bad%d.json" % i))
+            paths[-1].write_text(json.dumps(data))
+    (tmp_path / "broken.json").write_text("{not json")
+    paths += [tmp_path / "broken.json", tmp_path / "missing.json"]
+    argvs = [PINNED_ARGS.get(command, [command]) + [str(path)]
+             for path in paths for command in cli.COMMANDS]
+    argvs += [["fixture", kind, fixture.flag, str(size), "-o",
+               str(tmp_path / "fixture.json")]
+              for kind, fixture in cli.FIXTURES.items() for size in (0, 3)]
+    codes = set()
+    for argv in argvs:
+        code, result = run(_args(*argv))
+        codes.add(code)
+        assert report_render(result, "json") == json.dumps(
+            result, indent=1, sort_keys=True) + "\n", argv
+    assert codes == {0, 1, 2, 3}

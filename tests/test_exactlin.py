@@ -691,3 +691,45 @@ def test_dense_view_is_read_only():
     with pytest.raises(TypeError):
         m.a[0][1] = Q(5)
     assert m == Matrix.identity(2)
+
+
+# Entries of up to about 40 bits, as a change of basis of a stratum's
+# cohomology produces them, mostly 0 so that rows are sparse; pivots are
+# rarely 1 or -1.
+tall_entries = st.one_of(
+    st.just(0), st.just(0), st.just(0),
+    st.integers(-2 ** 40, 2 ** 40),
+    st.builds(Q, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_forward_rank_equals_rref_pivot_count(r, c, data):
+    """rank eliminates forward only; rref reduces fully. Rows are drawn,
+    then some repeated, some made a combination of two earlier ones, and
+    some all zero."""
+    rows = data.draw(st.lists(st.lists(tall_entries, min_size=c,
+                                       max_size=c), min_size=r, max_size=r))
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        f = data.draw(tall_entries)
+        kind = data.draw(st.sampled_from(["repeat", "combine", "zero"]))
+        rows.append(list(rows[i]) if kind == "repeat" else [0] * c
+                    if kind == "zero" else
+                    [Q(x) + f * y for x, y in zip(rows[i], rows[j])])
+    m = Matrix(len(rows), c, rows) if rows else Matrix(0, c)
+    assert rank(m) == len(rref(m)[1]) == rank(m.transpose())
+
+
+def test_forward_rank_of_empty_shapes():
+    for n in range(4):
+        assert rank(Matrix(0, n)) == rank(Matrix(n, 0)) == 0
+        assert rank(Matrix(n, n)) == 0
+
+
+def test_rank_is_one_function_everywhere():
+    """The tracer binds `rank` by name in every module that imports it,
+    so each module must import exactlin's, not a copy."""
+    from limhodge import cli, exactlin, homalg, limitpage, strata
+    assert exactlin.rank is limitpage.rank is cli.rank is homalg.rank \
+        is strata.rank

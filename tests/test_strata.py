@@ -11,7 +11,7 @@ from limhodge.exactlin import ConsistencyError, Matrix
 from limhodge.strata import (
     StrataDatum, StrataError, Ring, Report, validate, all_checks_pass,
     fixture_projective_space, fixture_cycle_of_p1, fixture_product_with_p1,
-    p1_ring, point_ring, save, load, dumps, loads,
+    p1_ring, point_ring, save, load, dumps, loads, json_text,
 )
 
 
@@ -539,3 +539,42 @@ def test_code_built_odd_cohomology_is_rejected():
                     ample={frozenset({"X"}): [Q(1)]})
     assert str(exc.value) == ("strata/X/dims: degree 1 has dimension 1; "
                               "Hodge-Tate data has no odd cohomology")
+
+
+# JSON values as a report or a strata file holds them: str with
+# non-ASCII, quotes and control characters, ints of any size, bools,
+# None, and nested, possibly empty, lists and dicts.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-2 ** 80, 2 ** 80) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.text(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_text_is_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    Q(1, 2), 0.5, {1: "a"}, {"a": [Q(1)]}, ["a", 1.5], ("a",)])
+def test_json_text_rejects_what_json_would_reshape(value):
+    """json.dumps rejects a Fraction, but writes a float, an int key as
+    a string and a tuple as a list; no report or strata file holds any
+    of them, so json_text raises TypeError on each."""
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+def test_dumps_is_json_dumps_on_every_fixture_kind():
+    for datum in (fixture_projective_space(1), fixture_projective_space(3),
+                  fixture_cycle_of_p1(3), fixture_cycle_of_p1(5),
+                  fixture_product_with_p1(fixture_cycle_of_p1(3)),
+                  fixture_product_with_p1(fixture_product_with_p1(
+                      fixture_cycle_of_p1(3)))):
+        text = dumps(datum)
+        assert text == json.dumps(json.loads(text), indent=1,
+                                  sort_keys=True)
