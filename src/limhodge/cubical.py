@@ -6,19 +6,19 @@ K(iota): K(sigma) -> K(tau) to every inclusion sigma <= tau.  Its Čech
 complex carries the differential delta + (-1)^k partial on the cell of
 Čech degree k, the filtrations W and deltaW, and the product tau.
 
-The Čech complex is the ordered model: its cells are indexed by
-injective tuples of labels, which is what the product tau needs.  No
-pipeline module builds it: `strata` takes `IndexSet` from here, and
+The Čech complex has one cell per subset that carries a complex,
+written as its labels in index order (an increasing tuple), so it
+computes Čech cohomology, and tau is the Alexander-Whitney cup product.
+No pipeline module builds it: `strata` takes `IndexSet` from here, and
 `limitpage` only the sign helpers `chi`, `wedge_insert_sign` and
 `contract_sign`.
 
-All signs flow through the orientation bookkeeping relative to each
-subset's reference generator; the label order is serialization
-metadata only.
+Every orientation sign counts labels before another: (-1) to the
+number of labels of a subset that come before a given label in index
+order (`_sign_before`).
 """
 
-from fractions import Fraction as Q
-from itertools import permutations, combinations
+from itertools import combinations
 
 from .exactlin import Matrix, Subspace, _require, kron
 from .homalg import (
@@ -48,52 +48,23 @@ class IndexSet:
         return tuple(self.pos(x) for x in self.sort(sigma))
 
 
-# tuple operations
-
-def tuple_d(lam):
-    return len(lam) - 1
-
-
-def tuple_drop(lam, i):
-    if not 0 <= i <= tuple_d(lam):
-        raise IndexError(i)
-    return lam[:i] + lam[i + 1:]
-
-
-def tuple_injective(lam):
-    return len(set(lam)) == len(lam)
-
-
-# orientation bookkeeping: e_lam = sign(lam) * e_{sorted(lam)}
-
-def orientation_sign(ix, lam):
-    """Sign of the injective tuple relative to the reference generator
-    e_{sorted(underlying set)}."""
-    if not tuple_injective(lam):
-        raise ValueError("repeated labels in %r" % (lam,))
-    pos = [ix.pos(x) for x in lam]
-    sign = 1
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if pos[i] > pos[j]:
-                sign = -sign
-    return sign
-
-
-def chi(ix, a, b):
-    """Sign s with e_A wedge e_B = s * e_{A union B}; A, B disjoint
-    subsets with reference generators."""
-    a, b = frozenset(a), frozenset(b)
-    if a & b:
-        raise ValueError("subsets not disjoint")
-    lam = ix.sort(a) + ix.sort(b)
-    return orientation_sign(ix, lam)
-
-
 def _sign_before(ix, nu, a):
     """(-1) to the number of labels of A before nu."""
     p = ix.pos(nu)
     return -1 if sum(ix.pos(x) < p for x in a) % 2 else 1
+
+
+def chi(ix, a, b):
+    """Sign s with e_A wedge e_B = s * e_{A union B}; A, B disjoint
+    subsets with reference generators.  Moving each label of A to its
+    place passes the labels of B before it."""
+    a, b = frozenset(a), frozenset(b)
+    if a & b:
+        raise ValueError("subsets not disjoint")
+    s = 1
+    for x in a:
+        s *= _sign_before(ix, x, b)
+    return s
 
 
 def wedge_insert_sign(ix, nu, a):
@@ -143,8 +114,8 @@ class CoCubicalComplex:
             tgt_c = self.complex(nxt)
             cur_c = self.complex(cur)
             out = {
-                p: step.comp(p) * out.get(
-                    p, Matrix.zero(cur_c.dim(p), src.dim(p)))
+                p: step.comp(p) * (out[p] if p in out else
+                                   Matrix.zero(cur_c.dim(p), src.dim(p)))
                 for p in tgt_c.degrees()
             }
             cur = nxt
@@ -193,19 +164,20 @@ def tensor_cocubical(k, l):
 
 
 class CechComplex:
-    """Total Čech complex of the ordered model, which hosts tau.
+    """Total Čech complex of a co-cubical complex, which hosts tau.
 
-    The cell of Čech degree k is an ordering of a (k + 1)-subset that
-    carries a complex, listed by k and then label positions, so the
-    cells follow the diagram, not the label set.  blocks[n] is the ordered
-    list of (k, idx, l, offset, size) with k + l = n and idx the tuple.
+    The cell of Čech degree k is a (k + 1)-subset that carries a
+    complex, written as its labels in index order and listed by k and
+    then label positions, so the cells follow the diagram, not the label
+    set.  blocks[n] is the ordered list of (k, idx, l, offset, size)
+    with k + l = n and idx the tuple.
     """
 
     def __init__(self, K):
         self.K = K
         self.ix = K.ix
         self.cells = cells = sorted(
-            ((len(s) - 1, t) for s in K.complexes for t in permutations(s)),
+            ((len(s) - 1, self.ix.sort(s)) for s in K.complexes),
             key=lambda c: (c[0], [self.ix.pos(x) for x in c[1]]))
         degs = set()
         for k, idx in cells:
@@ -254,18 +226,18 @@ class CechComplex:
         return m
 
     def _delta(self, m, k, lam, l, off, tgt_blocks):
-        # component of delta(f) at mu with mu_i = lam: insert any label
-        # at position i
-        for mu_k, mu in [(kk, ii) for (kk, ii) in tgt_blocks
-                         if kk == k + 1]:
-            for i in range(len(mu)):
-                if tuple_drop(mu, i) == lam:
-                    sgn = Q(1) if i % 2 == 0 else Q(-1)
-                    kmap = self.K.map(frozenset(lam), frozenset(mu))
-                    mat = kmap.get(l)
-                    if mat is None:
-                        continue
-                    m.add_block(tgt_blocks[(k + 1, mu)][0], off, mat, sgn)
+        # component of delta(f) at mu = lam + nu: K(iota)(f_lam) with
+        # sign (-1)^i, i the position of nu in mu
+        for nu in self.ix.labels:
+            if nu in lam:
+                continue
+            mu = self.ix.sort(lam + (nu,))
+            t = tgt_blocks.get((k + 1, mu))
+            if t is None:
+                continue
+            mat = self.K.map(frozenset(lam), frozenset(mu)).get(l)
+            if mat is not None:
+                m.add_block(t[0], off, mat, _sign_before(self.ix, nu, lam))
 
 
 def cech_filtration(cechc, filts, delta=False):
@@ -296,11 +268,14 @@ def cech_filtration(cechc, filts, delta=False):
 
 
 def tau(cech_k, cech_l, cech_kl):
-    """The product morphism C(K) (x) C(L) -> C(K (x) L).
+    """The product morphism C(K) (x) C(L) -> C(K (x) L), the
+    Alexander-Whitney cup product.
 
     tau_{k,l}(f (x) g)_lam = K(iota)(f_{h_k(lam)}) (x)
-    L(iota)(g_{t_k(lam)}), totaled with the sign (-1)^{(p-k)l} where p
-    is the total degree of f and k, l the Čech degrees.
+    L(iota)(g_{t_k(lam)}), with h_k(lam) the first k + 1 labels of the
+    increasing tuple lam and t_k(lam) its last l + 1, totaled with the
+    sign (-1)^{(p-k)l} where p is the total degree of f and k, l the
+    Čech degrees.
     """
     src = tensor(cech_k.total, cech_l.total)
     tgt = cech_kl.total
@@ -316,15 +291,13 @@ def tau(cech_k, cech_l, cech_kl):
                     if mu[-1] != nu[0]:
                         continue
                     lam = mu + nu[1:]
-                    if not tuple_injective(lam):
-                        continue
                     key = (kf + lg, lam)
                     if key not in tgt_blocks:
                         continue
                     toff, tsz, tl = tgt_blocks[key]
                     _require(tl == a + b, "tau: degree %d of the target "
                              "cell is not %d + %d", tl, a, b)
-                    sgn = Q(1) if ((p - kf) * lg) % 2 == 0 else Q(-1)
+                    sgn = -1 if ((p - kf) * lg) % 2 else 1
                     sig = frozenset(lam)
                     kmat = cech_k.K.map(frozenset(mu), sig).get(a)
                     lmat = cech_l.K.map(frozenset(nu), sig).get(b)

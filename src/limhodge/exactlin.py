@@ -33,7 +33,6 @@ def _require(ok, message, *args):
 
 def rat_to_str(x):
     """Serialize a rational as "p/q", omitting "/q" when q == 1."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

@@ -115,8 +115,9 @@ class ChainMap:
                                        "with d at degree %d" % p)
 
     def comp(self, p):
-        return self.f.get(p, Matrix.zero(self.target.dim(p),
-                                         self.source.dim(p)))
+        m = self.f.get(p)
+        return Matrix.zero(self.target.dim(p), self.source.dim(p)) \
+            if m is None else m
 
     def induced_on_cohomology(self, p):
         """Matrix H^p(source) -> H^p(target)."""

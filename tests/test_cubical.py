@@ -1,4 +1,6 @@
+import ast
 import itertools
+import os
 import random
 from fractions import Fraction as Q
 
@@ -10,29 +12,44 @@ from limhodge.homalg import (
     tensor_offsets,
 )
 from limhodge.cubical import (
-    IndexSet, tuple_d, tuple_drop, tuple_injective, orientation_sign, chi,
-    wedge_insert_sign, contract_sign, CoCubicalComplex, tensor_cocubical,
-    CechComplex, cech_filtration, tau, constant_cocubical,
+    IndexSet, chi, wedge_insert_sign, contract_sign, CoCubicalComplex,
+    tensor_cocubical, CechComplex, cech_filtration, tau, constant_cocubical,
 )
+from limhodge.strata import (
+    fixture_projective_space, fixture_cycle_of_p1, fixture_product_with_p1,
+)
+from limhodge.limitpage import compute_limit
+
+from test_cli import _run_python
 
 
-def test_tuple_ops():
-    lam = ("a", "b", "c")
-    assert tuple_d(lam) == 2
-    assert tuple_drop(lam, 1) == ("a", "c")
-    assert not tuple_injective(("a", "a"))
-    assert tuple_injective(lam)
-    with pytest.raises(IndexError):
-        tuple_drop(lam, 3)
+def inversion_sign(labels, lam):
+    """The reference for `chi`: the sign of the permutation that sorts
+    lam into the order of labels, (-1) to its number of inversions."""
+    pos = [labels.index(x) for x in lam]
+    inversions = sum(pos[i] > pos[j] for i in range(len(pos))
+                     for j in range(i + 1, len(pos)))
+    return -1 if inversions % 2 else 1
 
 
-def test_orientation_signs():
-    ix = IndexSet(["a", "b", "c"])
-    assert orientation_sign(ix, ("a", "b")) == 1
-    assert orientation_sign(ix, ("b", "a")) == -1
-    assert orientation_sign(ix, ("c", "a", "b")) == 1
-    with pytest.raises(ValueError):
-        orientation_sign(ix, ("a", "a"))
+def test_chi_matches_inversion_parity():
+    """chi(A, B) is the sign of e_sort(A) wedge e_sort(B) against
+    e_sort(A union B), on every disjoint pair of subsets of a label set
+    in an order that is not the order of the labels' names."""
+    labels = list("abcdef")
+    random.Random(5).shuffle(labels)
+    ix = IndexSet(labels)
+    subsets = [frozenset(c) for size in range(len(labels) + 1)
+               for c in itertools.combinations(labels, size)]
+    pairs = 0
+    for a in subsets:
+        for b in subsets:
+            if a & b:
+                continue
+            lam = sorted(a, key=labels.index) + sorted(b, key=labels.index)
+            assert chi(ix, a, b) == inversion_sign(labels, lam), (a, b)
+            pairs += 1
+    assert pairs == 3 ** len(labels)
 
 
 def test_chi_antisymmetry():
@@ -76,11 +93,11 @@ def test_sign_rules_match_chi_on_every_subset():
 def test_constant_complex_two_labels_models():
     ix = IndexSet(["a", "b"])
     K = constant_cocubical(ix)
-    ordd = CechComplex(K)
-    assert ordd.total.dim(0) == 2 and ordd.total.dim(1) == 2
-    assert ordd.total.betti(0) == 1
-    # the ordered model has a cell per ordering, so H^1 has dimension 1
-    assert ordd.total.betti(1) == 1
+    c = CechComplex(K)
+    assert c.total.dim(0) == 2 and c.total.dim(1) == 1
+    assert c.total.betti(0) == 1
+    # one cell per subset: the nerve is an edge, which is contractible
+    assert c.total.betti(1) == 0
 
 
 def test_single_label_both_models():
@@ -91,13 +108,14 @@ def test_single_label_both_models():
     assert c.total.betti(0) == 1
 
 
-def path_cocubical(ix):
-    """Q in degree 0 on the singletons and the consecutive pairs of the
-    labels, with identity maps."""
-    labels = ix.labels
-    complexes = {frozenset({x}): Complex({0: 1}, {}) for x in labels}
-    for a, b in zip(labels, labels[1:]):
-        complexes[frozenset({a, b})] = Complex({0: 1}, {})
+def nerve_cocubical(ix, simplices):
+    """Q in degree 0 on every nonempty face of the given simplices, with
+    identity maps: the constant diagram on the simplicial complex they
+    span."""
+    faces = {frozenset(f) for simplex in simplices
+             for size in range(1, len(simplex) + 1)
+             for f in itertools.combinations(simplex, size)}
+    complexes = {f: Complex({0: 1}, {}) for f in faces}
     cover = {(s, t): ChainMap(complexes[s], complexes[t],
                               {0: Matrix.identity(1)})
              for s in complexes for t in complexes
@@ -105,32 +123,121 @@ def path_cocubical(ix):
     return CoCubicalComplex(ix, complexes, cover)
 
 
-def injective_tuple_cells(K):
-    """The Čech cells by their defining enumeration: every injective
+def increasing_tuple_cells(K):
+    """The Čech cells by their defining enumeration: every increasing
     tuple of the labels, by length and then label positions, kept when
     its set carries a complex."""
     ix = K.ix
     return [(k, t) for k in range(len(ix.labels))
-            for t in sorted(itertools.permutations(ix.labels, k + 1),
-                            key=lambda t: [ix.pos(x) for x in t])
+            for t in itertools.combinations(ix.labels, k + 1)
             if frozenset(t) in K.complexes]
 
 
-def test_cech_cells_match_injective_tuples():
+def test_cech_cells_match_increasing_tuples():
     for labels in (["b", "a", "c"], ["c", "a", "d", "b"]):
         ix = IndexSet(labels)
-        for K in (constant_cocubical(ix), path_cocubical(ix)):
-            assert CechComplex(K).cells == injective_tuple_cells(K)
+        path = nerve_cocubical(ix, zip(labels, labels[1:]))
+        for K in (constant_cocubical(ix), path):
+            assert CechComplex(K).cells == increasing_tuple_cells(K)
 
 
 def test_cech_complex_scales_with_the_diagram():
-    # 30 labels have about 10^32 injective tuples, and the path diagram
-    # uses 88 of them
-    ix = IndexSet(["x%d" % i for i in range(30)])
-    c = CechComplex(path_cocubical(ix))
-    assert len(c.cells) == 88
-    assert (c.total.dim(0), c.total.dim(1)) == (30, 58)
-    assert (c.total.betti(0), c.total.betti(1)) == (1, 29)
+    # 30 labels have 2^30 - 1 subsets, and the path diagram uses 59
+    labels = ["x%d" % i for i in range(30)]
+    c = CechComplex(nerve_cocubical(IndexSet(labels),
+                                    zip(labels, labels[1:])))
+    assert len(c.cells) == 59
+    assert (c.total.dim(0), c.total.dim(1)) == (30, 29)
+    # a path is contractible
+    assert (c.total.betti(0), c.total.betti(1)) == (1, 0)
+
+
+def betti_numbers(cech):
+    return [cech.total.betti(k) for k in cech.total.degrees()]
+
+
+def torus_triangles(n):
+    """The 2n^2 triangles of the n x n triangulated torus."""
+    out = []
+    for i, j in itertools.product(range(n), repeat=2):
+        corner = ((i + 1) % n, (j + 1) % n)
+        out.append([(i, j), ((i + 1) % n, j), corner])
+        out.append([(i, j), (i, (j + 1) % n), corner])
+    return out
+
+
+def test_cech_model_of_a_simplicial_complex_closed_forms():
+    """The Čech complex of the constant diagram on a simplicial complex
+    computes its cohomology, in one cell per face."""
+    for size, cells in zip(range(2, 6), (3, 7, 15, 31)):
+        c = CechComplex(constant_cocubical(
+            IndexSet(["v%d" % i for i in range(size)])))
+        assert len(c.cells) == cells
+        # the full simplex is contractible
+        assert betti_numbers(c) == [1] + [0] * (size - 1)
+    torus = torus_triangles(3)
+    tetrahedron = list(itertools.combinations("abcd", 3))
+    for simplices, cells, betti in ((torus, 54, [1, 2, 1]),
+                                    (tetrahedron, 14, [1, 0, 1])):
+        labels = sorted({x for simplex in simplices for x in simplex})
+        c = CechComplex(nerve_cocubical(IndexSet(labels), simplices))
+        assert len(c.cells) == cells
+        assert betti_numbers(c) == betti
+
+
+def nerve_fixtures():
+    return [
+        fixture_projective_space(1),
+        fixture_projective_space(2),
+        fixture_projective_space(3),
+        fixture_cycle_of_p1(3),
+        fixture_cycle_of_p1(4),
+        fixture_cycle_of_p1(5),
+        fixture_cycle_of_p1(9),
+        fixture_product_with_p1(fixture_cycle_of_p1(3)),
+        fixture_product_with_p1(fixture_product_with_p1(
+            fixture_cycle_of_p1(4))),
+    ]
+
+
+def nerve_and_weight_zero():
+    """For each fixture: {q: dim} of H^q(Γ) from the Čech model of the
+    constant diagram on its nerve Γ, and of the weight-0 part of H^q of
+    its limit, nonzero entries only."""
+    out = []
+    for datum in nerve_fixtures():
+        cech = CechComplex(nerve_cocubical(datum.ix, datum.nerve)).total
+        gamma = {q: cech.betti(q) for q in cech.degrees() if cech.betti(q)}
+        weights = compute_limit(datum).weights
+        out.append((gamma, {q: w[0] for q, w in weights.items()
+                            if w.get(0)}))
+    return out
+
+
+def check_nerve_oracle(pairs):
+    """gr^W_0 of the limit is the cohomology of the dual complex Γ
+    (Steenbrink, Invent. Math. 31, 1976): a point for P^n, a circle for
+    a cycle of P^1s and its products with P^1."""
+    assert [gamma for gamma, _ in pairs] == \
+        [{0: 1}] * 3 + [{0: 1, 1: 1}] * 6
+    for gamma, weight_zero in pairs:
+        assert gamma == weight_zero
+
+
+def test_cech_model_of_the_nerve_gives_weight_zero():
+    check_nerve_oracle(nerve_and_weight_zero())
+
+
+def test_cech_model_of_the_nerve_under_optimize(tmp_path):
+    """`python -O` strips asserts; the nerve oracle may not rest on
+    one."""
+    script = ("import sys\nsys.path.insert(0, %r)\n"
+              "from test_cubical import nerve_and_weight_zero\n"
+              "print(nerve_and_weight_zero())\n"
+              % os.path.dirname(os.path.abspath(__file__)))
+    proc = _run_python(["-O"], ["-c", script], tmp_path)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    check_nerve_oracle(ast.literal_eval(proc.stdout))
 
 
 def diag_cocubical(ix, rng, maxdeg=2, maxdim=2):
@@ -206,7 +313,7 @@ def test_tau_mixed_degree_sign():
     t = tau(ck, ck, CechComplex(KL))
     m = t.comp(1)
     # source degree 1 summands: C^0 (x) C^1 and C^1 (x) C^0
-    # target: C^1 cells (a,b), (b,a), each 1-dim
+    # target: C^1 cell (a,b), 1-dim
     # component tau(f (x) g)_{(a,b)} = f_a * g_{(a,b)} from C^0 (x) C^1
     soff = tensor_offsets(ck.total, ck.total, 1)
     o01 = soff[(0, 1)]
@@ -243,7 +350,7 @@ def entrywise_tau(cech_k, cech_l, cech_kl):
                 for lg, nu, b, offl, _ in cech_l.blocks.get(q, []):
                     lam = mu + nu[1:]
                     key = (kf + lg, lam)
-                    if mu[-1] != nu[0] or not tuple_injective(lam) \
+                    if mu[-1] != nu[0] or len(set(lam)) != len(lam) \
                             or key not in tgt_blocks:
                         continue
                     sgn = Q(1) if ((p - kf) * lg) % 2 == 0 else Q(-1)

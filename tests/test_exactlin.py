@@ -85,6 +85,10 @@ def test_serialization_round_trip():
         assert rat_from_str(rat_to_str(v)) == v
     assert rat_to_str(Q(3)) == "3"
     assert rat_to_str(Q(-1, 2)) == "-1/2"
+    # an int has a numerator and a denominator too
+    assert rat_to_str(3) == "3"
+    assert rat_to_str(-4) == "-4"
+    assert rat_to_str(Q(-7, 2)) == "-7/2"
     m = M([[1, Q(1, 2)], [-3, 0]])
     assert Matrix.from_json(m.to_json()) == m
 
